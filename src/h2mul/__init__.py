@@ -9,11 +9,11 @@ re-compresses onto a prescribed coarser tree.
 """
 
 from .coarsening import (CoarsenState, build_coarse_col_basis,
-                         build_coarse_row_basis, coarsen,
-                         coarsen_total_weights, match_column, orthogonalized,
-                         project_final, recompress, union_column_tree)
-from .dense import (ThinQR, TruncatedSVD, full_householder_qr, spectral_norm,
-                    thin_householder_qr, truncated_svd)
+                         build_coarse_row_basis, coarsen, match_column,
+                         orthogonalized, project_final, recompress,
+                         union_column_tree)
+from .dense import (TruncatedSVD, full_householder_qr, spectral_norm,
+                    truncated_svd)
 from .errors import InvalidInputError, StructureError
 from .h2 import (BasisProduct, ClusterBasis, H2Matrix, cluster_basis_product,
                  expand_basis, h2_from_json, h2_matvec, h2_matvec_adjoint,
@@ -24,11 +24,11 @@ from .induced import (InducedBasisResult, assemble_product,
                       multiply)
 from .problems import (Geometry, KernelProblem, ModelInstance, build_geometry,
                        build_h2_by_interpolation, build_problem,
-                       dense_kernel_matrix, dump_geometry, kernel_matrix)
+                       dense_kernel_matrix, kernel_matrix)
 from .trees import (BlockTree, ClusterTree, ColumnTree, admissible,
                     admissible_boxes, build_block_tree, build_cluster_tree,
-                    build_column_tree, build_product_block_tree,
-                    refinement_counts, same_cluster_tree, sparsity_constant)
+                    build_product_block_tree, refinement_counts,
+                    same_cluster_tree, sparsity_constant)
 from .weights import BasisWeights, TotalWeights, basis_weights, total_weights
 
 __version__ = "0.1.0"

@@ -72,6 +72,9 @@ class RunConfig:
             raise InvalidInputError(f"unknown coarsen mode {self.coarsen!r}")
         if self.steps < 0:
             raise InvalidInputError(f"steps must be >= 0, got {self.steps}")
+        if self.max_rank is not None and self.max_rank < 0:
+            raise InvalidInputError(
+                f"max_rank must be >= 0, got {self.max_rank}")
 
 
 @dataclass

@@ -16,14 +16,14 @@ from functools import reduce
 
 import numpy as np
 
-from .dense import qr_r, spectral_norm, spectral_norms, truncated_svd
+from .dense import spectral_norm, spectral_norms, truncated_svd
 from .errors import InvalidInputError, StructureError
-from .h2 import ClusterBasis, H2Matrix
+from .h2 import ClusterBasis, H2Matrix, orthogonalize_basis
 from .trees import BlockTree, ColumnTree, same_cluster_tree
+from .weights import total_weights
 
 __all__ = [
     "CoarsenState",
-    "coarsen_total_weights",
     "match_column",
     "union_column_tree",
     "build_coarse_row_basis",
@@ -48,42 +48,6 @@ class CoarsenState:
     r: dict[int, np.ndarray]
     z: dict[int, np.ndarray]
     reps: dict[int, ColumnTree]
-
-
-def _row_admissible(g: H2Matrix) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {t: [] for t in range(g.block_tree.rows.nnodes)}
-    for b in g.block_tree.admissible_leaves():
-        out[g.block_tree.row[b]].append(b)
-    return out
-
-
-def coarsen_total_weights(g: H2Matrix, t: int, z_parent,
-                          scaling: bool = False) -> np.ndarray:
-    """Weight Z_t condensing the admissible product blocks at t and above.
-
-    Stacks the parent weight pushed through the transfer matrix on top
-    of S_tr^T per admissible leaf (t, r) of g's block tree; since g's
-    column basis is isometric no basis-weight factors are needed.  With
-    ``scaling`` each coupling row block is divided by its spectral norm
-    (the exact norm of the block, the bases being isometric).
-    """
-    bt = g.block_tree
-    parts = []
-    if z_parent is not None and z_parent.shape[0] > 0:
-        parts.append(z_parent @ g.row_basis.transfer[t].T)
-    for b in bt.admissible_leaves():
-        if bt.row[b] != t:
-            continue
-        block = g.coupling[b].T
-        if scaling:
-            nrm = spectral_norm(block)
-            if nrm == 0.0:
-                continue
-            block = block / nrm
-        parts.append(block)
-    if not parts:
-        return np.zeros((0, g.row_basis.rank[t]))
-    return qr_r(np.vstack(parts))
 
 
 def union_column_tree(a: ColumnTree | None, b: ColumnTree | None) -> ColumnTree:
@@ -191,10 +155,11 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
                            nearfield_norms: dict[int, float] | None = None) -> CoarsenState:
     """Adaptive row basis for re-compressing g onto the coarse block tree.
 
-    Follows the condensation recursion: weights Z_t flow top-down, the
-    basis is cut bottom-up from the condensed matrices [V_t Z_t^T | ...]
-    whose remaining columns are the nearfield and subdivided blocks lying
-    inside admissible coarse blocks.  Representations of subdivided
+    Follows the condensation recursion: the weights Z_t come from one
+    top-down condensation of g (``total_weights`` with g's isometric
+    column basis), the basis is cut bottom-up from the condensed
+    matrices [V_t Z_t^T | ...] whose remaining columns are the nearfield
+    and subdivided blocks lying inside admissible coarse blocks.  Representations of subdivided
     blocks are merged from the children by matching column trees.
     """
     pt = g.block_tree
@@ -203,46 +168,27 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
     tree = pt.rows
     v1, w1 = g.row_basis, g.col_basis
 
-    row_adm: dict[int, list[int]] = {t: [] for t in range(tree.nnodes)}
     near_cov: dict[int, list[int]] = {t: [] for t in range(tree.nnodes)}
     sub_cov: dict[int, list[int]] = {t: [] for t in range(tree.nnodes)}
     for b in range(pt.nblocks):
-        t = pt.row[b]
-        if pt.is_admissible_leaf(b):
-            row_adm[t].append(b)
-        elif pt.is_inadmissible_leaf(b):
-            if cov[b]:
-                near_cov[t].append(b)
-        elif cov[b]:
-            sub_cov[t].append(b)
+        if not cov[b] or pt.is_admissible_leaf(b):
+            continue
+        if pt.is_inadmissible_leaf(b):
+            near_cov[pt.row[b]].append(b)
+        else:
+            sub_cov[pt.row[b]].append(b)
 
     rank = [0] * tree.nnodes
     leaf_q: dict[int, np.ndarray] = {}
     transfer_q: dict[int, np.ndarray] = {}
     rmap: dict[int, np.ndarray] = {}
-    zmap: dict[int, np.ndarray] = {}
     reps: dict[int, ColumnTree] = {}
 
     if scale_blocks and coupling_norms is None:
         coupling_norms = _coupling_norms(g)
     if scale_blocks and nearfield_norms is None:
         nearfield_norms = _nearfield_norms(g)
-
-    def z_step(t, z_parent):
-        parts = []
-        if z_parent is not None and z_parent.shape[0] > 0:
-            parts.append(z_parent @ v1.transfer[t].T)
-        for b in row_adm[t]:
-            block = g.coupling[b].T
-            if scale_blocks:
-                nrm = coupling_norms[b]
-                if nrm == 0.0:
-                    continue
-                block = block / nrm
-            parts.append(block)
-        if not parts:
-            return np.zeros((0, v1.rank[t]))
-        return qr_r(np.vstack(parts))
+    zmap = total_weights(g, None, scale_blocks, coupling_norms).z
 
     def scaled(m, nrm=None):
         if not scale_blocks:
@@ -289,8 +235,7 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
         reps[b] = rep
         return rep
 
-    def rec(t, z_parent):
-        zmap[t] = z_step(t, z_parent)
+    def rec(t):
         if tree.is_leaf(t):
             v_leaf = v1.leaf_matrix[t]
             columns = [v_leaf @ zmap[t].T]
@@ -309,7 +254,7 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
                 compose_leaf_rep(b, t)
         else:
             for c in tree.children[t]:
-                rec(c, zmap[t])
+                rec(c)
             vhat = np.vstack([rmap[c] @ v1.transfer[c]
                               for c in tree.children[t]])
             merged = [merged_rep(b, t) for b in sub_cov[t]]
@@ -327,7 +272,10 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
             for b, rep in zip(sub_cov[t], merged):
                 reps[b] = _map_rep(rep, lambda m: q_hat.T @ m)
 
-    rec(tree.root, None)
+    rec(tree.root)
+    # the recursive closures reference themselves; dropping them frees
+    # this call's matrices with its result, not at a later gc collection
+    del rec, compose_leaf_rep
     q = ClusterBasis(tree, rank, leaf_q, transfer_q)
     return CoarsenState(q, rmap, zmap, reps)
 
@@ -409,6 +357,8 @@ def coarsen(g: H2Matrix, coarse: BlockTree, tol: float, *,
             max_rank: int | None = None,
             scale_blocks: bool = True) -> H2Matrix:
     """Convenience driver for phase 2: both bases plus final projection."""
+    if max_rank is not None and max_rank < 0:
+        raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
     norms = _coupling_norms(g) if scale_blocks else None
     nnorms = _nearfield_norms(g) if scale_blocks else None
     rowstate = build_coarse_row_basis(g, coarse, tol, max_rank=max_rank,
@@ -424,8 +374,6 @@ def coarsen(g: H2Matrix, coarse: BlockTree, tol: float, *,
 
 def orthogonalized(g: H2Matrix) -> H2Matrix:
     """Equivalent H^2-matrix with isometric row and column bases."""
-    from .h2 import orthogonalize_basis
-
     qrow, rrow = orthogonalize_basis(g.row_basis)
     qcol, rcol = orthogonalize_basis(g.col_basis)
     bt = g.block_tree

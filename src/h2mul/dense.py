@@ -1,4 +1,4 @@
-"""Dense backbone for the tree algorithms: thin QR, truncated SVD, norms.
+"""Dense backbone for the tree algorithms: QR, truncated SVD, norms.
 
 All matrices are two-dimensional float64 numpy arrays in row-major (C)
 order.  The factorizations delegate to LAPACK through numpy; what this
@@ -15,10 +15,8 @@ import numpy as np
 from .errors import InvalidInputError
 
 __all__ = [
-    "ThinQR",
     "TruncatedSVD",
     "as_matrix",
-    "thin_householder_qr",
     "full_householder_qr",
     "truncated_svd",
     "spectral_norm",
@@ -38,14 +36,6 @@ def as_matrix(a) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ThinQR:
-    """Thin Householder factorization a = q @ r with isometric q."""
-
-    q: np.ndarray  # (rows, ell), ell = min(rows, cols)
-    r: np.ndarray  # (ell, cols), upper trapezoidal
-
-
-@dataclass(frozen=True)
 class TruncatedSVD:
     """Rank-truncated singular value decomposition a ~ u @ diag(sigma) @ v.T."""
 
@@ -53,17 +43,6 @@ class TruncatedSVD:
     sigma: np.ndarray  # (retained_rank,), non-increasing
     v: np.ndarray      # (cols, retained_rank), isometric
     retained_rank: int
-
-
-def thin_householder_qr(a) -> ThinQR:
-    """Thin QR factorization via Householder reflections (LAPACK geqrf).
-
-    Matrices with zero rows or columns are permitted and produce empty
-    factors of the matching shapes.
-    """
-    m = as_matrix(a)
-    q, r = np.linalg.qr(m, mode="reduced")
-    return ThinQR(q, r)
 
 
 def full_householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
@@ -74,13 +53,11 @@ def full_householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.qr(m, mode="complete")
 
 
-def truncated_svd(a, tol: float, max_rank: int | None = None,
-                  relative: bool = False) -> TruncatedSVD:
+def truncated_svd(a, tol: float, max_rank: int | None = None) -> TruncatedSVD:
     """SVD truncated at the smallest rank k with sigma_{k+1} <= tol.
 
-    The threshold is absolute by default (the compression algorithms
-    pre-scale their inputs block-relatively); pass ``relative=True`` to
-    threshold against tol * sigma_1 instead.  Singular values below
+    The threshold is absolute (the compression algorithms pre-scale
+    their inputs block-relatively).  Singular values below
     max(rows, cols) * eps * sigma_1 are treated as numerically zero, so
     exact low-rank inputs are truncated to their true rank even at
     tol = 0.
@@ -92,8 +69,7 @@ def truncated_svd(a, tol: float, max_rank: int | None = None,
         return TruncatedSVD(np.zeros((m.shape[0], 0)), np.zeros(0),
                             np.zeros((m.shape[1], 0)), 0)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
-    threshold = tol * s[0] if relative else tol
-    threshold = max(threshold, max(m.shape) * _EPS * s[0])
+    threshold = max(tol, max(m.shape) * _EPS * s[0])
     k = int(np.count_nonzero(s > threshold))
     if max_rank is not None:
         k = min(k, max(0, int(max_rank)))

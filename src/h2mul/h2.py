@@ -173,8 +173,11 @@ class H2Matrix:
                         {b: m.T for b, m in self.nearfield.items()})
 
     def validate(self):
-        """Check the coupling/nearfield placement and all dimensions."""
+        """Check the bases, the coupling/nearfield placement and all
+        dimensions."""
         bt = self.block_tree
+        _validate_basis(self.row_basis, bt.rows, "row")
+        _validate_basis(self.col_basis, bt.cols, "column")
         for b in range(bt.nblocks):
             t, s = bt.row[b], bt.col[b]
             if bt.is_admissible_leaf(b):
@@ -192,6 +195,25 @@ class H2Matrix:
         extra |= set(self.nearfield) - set(bt.inadmissible_leaves())
         if extra:
             raise InvalidInputError(f"matrices attached to non-leaf blocks: {extra}")
+
+
+def _validate_basis(basis: ClusterBasis, tree: ClusterTree, side: str):
+    if not same_cluster_tree(basis.tree, tree):
+        raise InvalidInputError(f"{side} basis lives on another cluster tree")
+    if len(basis.rank) != tree.nnodes:
+        raise InvalidInputError(f"{side} basis has {len(basis.rank)} ranks "
+                                f"for {tree.nnodes} clusters")
+    for t in range(tree.nnodes):
+        if tree.is_leaf(t):
+            m = basis.leaf_matrix.get(t)
+            if m is None or m.shape != (tree.size(t), basis.rank[t]):
+                raise InvalidInputError(f"{side} leaf matrix {t} is missing "
+                                        "or has the wrong shape")
+        for c in tree.children[t]:
+            e = basis.transfer.get(c)
+            if e is None or e.shape != (basis.rank[c], basis.rank[t]):
+                raise InvalidInputError(f"{side} transfer {c} is missing or "
+                                        "has the wrong shape")
 
 
 def _forward_coefficients(basis: ClusterBasis, x: np.ndarray) -> list[np.ndarray]:
@@ -245,26 +267,8 @@ def h2_matvec(g: H2Matrix, x, y=None, alpha: float = 1.0) -> np.ndarray:
 
 
 def h2_matvec_adjoint(g: H2Matrix, x, y=None, alpha: float = 1.0) -> np.ndarray:
-    """y <- y + alpha * G^T @ x, mirroring h2_matvec with bases swapped."""
-    x = np.asarray(x, dtype=np.float64)
-    nrows, ncols = g.shape
-    if x.shape != (nrows,):
-        raise InvalidInputError(f"x has shape {x.shape}, expected ({nrows},)")
-    if y is None:
-        y = np.zeros(ncols)
-    elif y.shape != (ncols,):
-        raise InvalidInputError(f"y has shape {y.shape}, expected ({ncols},)")
-    bt = g.block_tree
-    xhat = _forward_coefficients(g.row_basis, x)
-    yhat = [np.zeros(k) for k in g.col_basis.rank]
-    for b, s_ts in g.coupling.items():
-        yhat[bt.col[b]] += s_ts.T @ xhat[bt.row[b]]
-    _backward_coefficients(g.col_basis, yhat, y, alpha)
-    rows, cols = bt.rows, bt.cols
-    for b, m in g.nearfield.items():
-        t, s = bt.row[b], bt.col[b]
-        y[cols.start[s]:cols.stop[s]] += alpha * (m.T @ x[rows.start[t]:rows.stop[t]])
-    return y
+    """y <- y + alpha * G^T @ x: the matvec of the transposed matrix."""
+    return h2_matvec(g.transposed(), x, y, alpha)
 
 
 def to_dense(g: H2Matrix, guard: int = DENSE_GUARD) -> np.ndarray:

@@ -10,6 +10,7 @@ assembles the product as an H^2-matrix over the refined tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache, partial
 
 import numpy as np
 
@@ -73,11 +74,20 @@ def _xv_at_leaf(x: H2Matrix, y: H2Matrix, pxy: BasisProduct,
     return acc
 
 
+def _projected_block(x: H2Matrix, pxy: BasisProduct, basis_change,
+                     projections, t: int, s: int) -> np.ndarray:
+    """Q_t^T X|ts V_{Y,s} from a compressed row basis' basis changes and
+    stored block projections."""
+    b = x.block_tree.index[(t, s)]
+    if x.block_tree.is_admissible_leaf(b):
+        return basis_change[t] @ x.coupling[b] @ pxy.p[s]
+    return projections[(t, s)]
+
+
 def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
                                pxy: BasisProduct, tol: float, *,
                                max_rank: int | None = None,
-                               scale_blocks: bool = True,
-                               level_decay: float = 1.0) -> InducedBasisResult:
+                               scale_blocks: bool = True) -> InducedBasisResult:
     """Adaptive isometric basis spanning the products X|ts Y|sr row-wise.
 
     Bottom-up over the row tree.  At a leaf t, the blocks
@@ -90,10 +100,6 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
     lower bound of) its column-factor norm before truncation, yielding
     block-relative error control; at leaves the exact norm is used, above
     them the projected surrogate.
-
-    The threshold is uniform across clusters by default; with
-    ``level_decay`` < 1 it tightens geometrically with the cluster depth
-    (tol * level_decay**depth).
     """
     bx = x.block_tree
     if not same_cluster_tree(bx.cols, y.block_tree.rows):
@@ -101,10 +107,6 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
     t_rows = bx.rows
     vx, vy = x.row_basis, y.row_basis
     cols_of = _inadmissible_columns(bx)
-    depth = [0] * t_rows.nnodes
-    for t in range(t_rows.nnodes):
-        for c in t_rows.children[t]:
-            depth[c] = depth[t] + 1
 
     rank = [0] * t_rows.nnodes
     leaf_q: dict[int, np.ndarray] = {}
@@ -129,8 +131,7 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
         k1 = min(vx_t.shape)
         remainder = q_full[:, k1:].T @ stacked
         cap = None if max_rank is None else max(0, max_rank - k1)
-        svd = truncated_svd(remainder, tol * level_decay ** depth[t],
-                            max_rank=cap)
+        svd = truncated_svd(remainder, tol, max_rank=cap)
         q_t = np.hstack([q_full[:, :k1], q_full[:, k1:] @ svd.u])
         rank[t] = k1 + svd.retained_rank
         basis_change[t] = np.vstack([r_fac[:k1],
@@ -145,13 +146,6 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
                 transfer_q[c] = q_t[offset:offset + rank[c]]
                 offset += rank[c]
 
-    def projected_block(t2, s2):
-        # Q_{t2}^T X|t2,s2 V_{Y,s2}, reusing the recursion's products
-        b2 = bx.index[(t2, s2)]
-        if bx.is_admissible_leaf(b2):
-            return basis_change[t2] @ x.coupling[b2] @ pxy.p[s2]
-        return projections[(t2, s2)]
-
     def ahat(t, s):
         # U_t^T X|ts V_{Y,s} assembled from the children's projections
         b = bx.index[(t, s)]
@@ -159,8 +153,8 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
         acc = np.zeros((total_rows, vy.rank[s]))
         by_col: dict[int, list[np.ndarray]] = {}
         for b2 in bx.children[b]:
-            by_col.setdefault(bx.col[b2], []).append(
-                projected_block(bx.row[b2], bx.col[b2]))
+            by_col.setdefault(bx.col[b2], []).append(_projected_block(
+                x, pxy, basis_change, projections, bx.row[b2], bx.col[b2]))
         for s2, parts in by_col.items():
             block = np.vstack(parts)
             acc += block @ vy.transfer[s2] if s2 != s else block
@@ -180,6 +174,9 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
             compress_at(t, vhat, blocks, middles, leaf=False)
 
     rec(t_rows.root)
+    # rec references itself; dropping it frees this call's matrices with
+    # its result, not at a later gc collection
+    del rec
     q = ClusterBasis(t_rows, rank, leaf_q, transfer_q)
     return InducedBasisResult(q, basis_change, projections)
 
@@ -198,23 +195,6 @@ def compress_induced_col_basis(x: H2Matrix, y: H2Matrix,
     return compress_induced_row_basis(y.transposed(), x.transposed(),
                                       zx_adjoint, pxy.transposed(), tol,
                                       **kwargs)
-
-
-def _wy_at_leaf(x: H2Matrix, y: H2Matrix, pxy: BasisProduct,
-                s: int, r: int) -> np.ndarray:
-    """Y|sr^T @ W_{X,s} for a leaf cluster r, by block descent through Y."""
-    by = y.block_tree
-    b = by.index[(s, r)]
-    if by.is_admissible_leaf(b):
-        return y.col_basis.leaf_matrix[r] @ y.coupling[b].T @ pxy.p[s].T
-    if by.is_leaf(b):
-        return y.nearfield[b].T @ x.col_basis.leaf_matrix[s]
-    acc = np.zeros((by.cols.size(r), x.col_basis.rank[s]))
-    for b2 in by.children[b]:
-        s2 = by.row[b2]
-        part = _wy_at_leaf(x, y, pxy, s2, r)
-        acc += part @ x.col_basis.transfer[s2] if s2 != s else part
-    return acc
 
 
 def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
@@ -242,34 +222,15 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
 
     coupling: dict[int, np.ndarray] = {}
     nearfield: dict[int, np.ndarray] = {}
-    xv_memo: dict[tuple[int, int], np.ndarray] = {}
-    wy_memo: dict[tuple[int, int], np.ndarray] = {}
-
-    def xv(t, s):
-        key = (t, s)
-        if key not in xv_memo:
-            xv_memo[key] = _xv_at_leaf(x, y, pxy, t, s)
-        return xv_memo[key]
-
-    def wyl(s, r):
-        key = (s, r)
-        if key not in wy_memo:
-            wy_memo[key] = _wy_at_leaf(x, y, pxy, s, r)
-        return wy_memo[key]
-
-    def row_factor(t, s):
-        # Q_t^T X|ts V_{Y,s}
-        b = bx.index[(t, s)]
-        if bx.is_admissible_leaf(b):
-            return qrow.basis_change[t] @ x.coupling[b] @ pxy.p[s]
-        return qrow.block_projections[(t, s)]
-
-    def col_factor(r, s):
-        # Q_r^T Y|sr^T W_{X,s}
-        b = by.index[(s, r)]
-        if by.is_admissible_leaf(b):
-            return qcol.basis_change[r] @ y.coupling[b].T @ pxy.p[s].T
-        return qcol.block_projections[(r, s)]
+    # the column-side factors are the row-side ones of Y^T X^T
+    xt, yt, pyx = x.transposed(), y.transposed(), pxy.transposed()
+    xv = cache(partial(_xv_at_leaf, x, y, pxy))     # (t, s): X|ts V_{Y,s}
+    wy_at = cache(partial(_xv_at_leaf, yt, xt, pyx))  # (r, s): Y|sr^T W_{X,s}
+    # (t, s): Q_t^T X|ts V_{Y,s} and (r, s): Q_r^T Y|sr^T W_{X,s}
+    row_factor = partial(_projected_block, x, pxy, qrow.basis_change,
+                         qrow.block_projections)
+    col_factor = partial(_projected_block, yt, pyx, qcol.basis_change,
+                         qcol.block_projections)
 
     def add(store, key, value):
         if key in store:
@@ -298,7 +259,7 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
                 s_x = x.coupling[bx.index[(t, s)]]
                 if dense_target:
                     add(nearfield, node,
-                        vx.leaf_matrix[t] @ s_x @ wyl(s, r).T)
+                        vx.leaf_matrix[t] @ s_x @ wy_at(r, s).T)
                 else:
                     add(coupling, node,
                         qrow.basis_change[t] @ s_x @ col_factor(r, s).T)
@@ -324,6 +285,7 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
                 rec(child, [])
 
     rec(pt.root, [t_mid.root])
+    del rec  # rec references itself: this frees the leaf-product memos
 
     # push couplings accumulated on subdivided blocks down to the leaves
     for node in range(pt.nblocks):
@@ -358,6 +320,8 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
 def multiply(x: H2Matrix, y: H2Matrix, tol: float, *,
              max_rank: int | None = None, scaling: bool = True) -> H2Matrix:
     """Convenience driver for phase 1: weights, bases, assembly."""
+    if max_rank is not None and max_rank < 0:
+        raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
     from .h2 import cluster_basis_product
     from .weights import basis_weights, total_weights
 

@@ -28,7 +28,6 @@ __all__ = [
     "build_h2_by_interpolation",
     "build_problem",
     "default_leaf_size",
-    "dump_geometry",
 ]
 
 GEOMETRIES = ("1d-interval", "sphere", "cube-surface")
@@ -381,14 +380,3 @@ def build_problem(p: KernelProblem, eta: float = 2.0,
     h2 = build_h2_by_interpolation(p, tree, blocks, geo)
     return ModelInstance(p, geo, tree, blocks, h2)
 
-
-def dump_geometry(geo: Geometry) -> str:
-    """Plain-text listing of midpoints, weights and normals."""
-    lines = [f"# {geo.points.shape[0]} panels, dim {geo.points.shape[1]}"]
-    for i in range(geo.points.shape[0]):
-        coords = " ".join(f"{c:.17g}" for c in geo.points[i])
-        line = f"panel {i}: mid {coords} weight {geo.weights[i]:.17g}"
-        if geo.normals is not None:
-            line += " normal " + " ".join(f"{c:.17g}" for c in geo.normals[i])
-        lines.append(line)
-    return "\n".join(lines)

@@ -8,6 +8,8 @@ input points, so submatrices of dense data are plain slices.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .errors import InvalidInputError, StructureError
@@ -23,7 +25,6 @@ __all__ = [
     "box_distance",
     "build_block_tree",
     "build_product_block_tree",
-    "build_column_tree",
     "classify_triple",
     "same_cluster_tree",
     "sparsity_constant",
@@ -81,21 +82,6 @@ class ClusterTree:
                 depth[c] = depth[t] + 1
                 out = max(out, depth[c])
         return out
-
-    def dump(self) -> str:
-        """Indented text rendering for debugging."""
-        lines: list[str] = []
-
-        def rec(t, indent):
-            tag = "leaf" if self.is_leaf(t) else "node"
-            lines.append(f"{'  ' * indent}{tag} {t}: [{self.start[t]}, "
-                         f"{self.stop[t]}) axis={self.split_axis[t]}")
-            for c in self.children[t]:
-                rec(c, indent + 1)
-
-        rec(self.root, 0)
-        return "\n".join(lines)
-
 
 def build_cluster_tree(points, leaf_size: int) -> ClusterTree:
     """Median bisection along the longest bounding-box axis.
@@ -184,7 +170,11 @@ class BlockTree:
         self.children = children          # per block: tuple of child block ids
         self.admissible = admissible_flags  # True on admissible leaves only
         self.root = 0
-        self.index = {(row[b], col[b]): b for b in range(len(row))}
+
+    @cached_property
+    def index(self) -> dict[tuple[int, int], int]:
+        """(row cluster, column cluster) -> block id; built on first use."""
+        return {(self.row[b], self.col[b]): b for b in range(self.nblocks)}
 
     @property
     def nblocks(self) -> int:
@@ -212,19 +202,6 @@ class BlockTree:
         """Same tree with row/column roles swapped; block ids are kept."""
         return BlockTree(self.cols, self.rows, self.col, self.row,
                          self.children, self.admissible)
-
-    def dump(self) -> str:
-        lines: list[str] = []
-
-        def rec(b, indent):
-            kind = ("adm" if self.admissible[b] else "inadm") \
-                if self.is_leaf(b) else "node"
-            lines.append(f"{'  ' * indent}{kind} ({self.row[b]}, {self.col[b]})")
-            for c in self.children[b]:
-                rec(c, indent + 1)
-
-        rec(self.root, 0)
-        return "\n".join(lines)
 
 
 def same_cluster_tree(a: ClusterTree, b: ClusterTree) -> bool:
@@ -386,53 +363,11 @@ class ColumnTree:
             for c in self.children:
                 yield from c.leaves()
 
-    def clusters(self):
-        yield self.cluster
-        for c in self.children:
-            yield from c.clusters()
-
     def structure(self) -> "ColumnTree":
         """Copy without representation matrices."""
         return ColumnTree(self.cluster,
                           [c.structure() for c in self.children],
                           self.admissible)
-
-    def same_structure(self, other: "ColumnTree") -> bool:
-        if self.cluster != other.cluster or len(self.children) != len(other.children):
-            return False
-        if not self.children:
-            return self.admissible == other.admissible
-        return all(a.same_structure(b)
-                   for a, b in zip(self.children, other.children))
-
-
-def build_column_tree(product_tree: BlockTree, block: int) -> ColumnTree:
-    """Column tree of a product-tree block: its subtree seen column-wise."""
-    if block < 0 or block >= product_tree.nblocks:
-        raise InvalidInputError(f"block {block} not in the product tree")
-    tk = product_tree.cols
-    present: set[int] = set()
-    inadmissible: set[int] = set()
-
-    def collect(b):
-        c = product_tree.col[b]
-        present.add(c)
-        if product_tree.is_inadmissible_leaf(b):
-            inadmissible.add(c)
-        for b2 in product_tree.children[b]:
-            collect(b2)
-
-    collect(block)
-
-    def rec(c):
-        kids = [c2 for c2 in tk.children[c] if c2 in present]
-        if kids:
-            if len(kids) != len(tk.children[c]):
-                raise StructureError("column tree children are not all-or-none")
-            return ColumnTree(c, [rec(c2) for c2 in kids])
-        return ColumnTree(c, admissible=c not in inadmissible)
-
-    return rec(product_tree.col[block])
 
 
 def sparsity_constant(bt: BlockTree) -> int:

@@ -28,10 +28,9 @@ class BasisWeights:
 class TotalWeights:
     """Per cluster s: Z_s condensing all admissible constraints above s."""
 
-    def __init__(self, tree, z: dict[int, np.ndarray], scaled: bool):
+    def __init__(self, tree, z: dict[int, np.ndarray]):
         self.tree = tree
         self.z = z
-        self.scaled = scaled
 
 
 def basis_weights(w: ClusterBasis) -> BasisWeights:
@@ -57,16 +56,20 @@ def basis_weights(w: ClusterBasis) -> BasisWeights:
     return BasisWeights(tree, r)
 
 
-def total_weights(y: H2Matrix, rw: BasisWeights, scaling: bool = True) -> TotalWeights:
+def total_weights(y: H2Matrix, rw: BasisWeights | None, scaling: bool = True,
+                  norms: dict[int, float] | None = None) -> TotalWeights:
     """Top-down condensation of the admissible blocks of y.
 
     For each cluster s, stacks the parent weight pushed through the
     transfer matrix on top of one row block R_r @ S_sr^T per admissible
-    leaf (s, r), then keeps the QR factor.  With ``scaling`` on, each
-    block row is divided by the spectral norm of S_sr @ R_r^T, the exact
-    norm of that block's column factor, which turns a uniform truncation
-    threshold into block-relative error control.  Zero-norm blocks are
-    skipped: they impose no constraint.
+    leaf (s, r), then keeps the QR factor.  ``rw=None`` stands for an
+    isometric column basis (R_r = I), so the row block is S_sr^T.  With
+    ``scaling`` on, each block row is divided by the spectral norm of
+    S_sr @ R_r^T, the exact norm of that block's column factor, which
+    turns a uniform truncation threshold into block-relative error
+    control; ``norms`` supplies these norms by block id when they were
+    computed beforehand.  Zero-norm blocks are skipped: they impose no
+    constraint.
     """
     bt = y.block_tree
     tree = bt.rows
@@ -82,9 +85,10 @@ def total_weights(y: H2Matrix, rw: BasisWeights, scaling: bool = True) -> TotalW
         if z_parent is not None:
             parts.append(z_parent @ vy.transfer[s].T)
         for b in row_map[s]:
-            block = rw.r[bt.col[b]] @ y.coupling[b].T
+            block = y.coupling[b].T if rw is None \
+                else rw.r[bt.col[b]] @ y.coupling[b].T
             if scaling:
-                nrm = spectral_norm(block)
+                nrm = spectral_norm(block) if norms is None else norms[b]
                 if nrm == 0.0:
                     continue
                 block = block / nrm
@@ -98,4 +102,4 @@ def total_weights(y: H2Matrix, rw: BasisWeights, scaling: bool = True) -> TotalW
             rec(c, z[s])
 
     rec(tree.root, None)
-    return TotalWeights(tree, z, scaling)
+    return TotalWeights(tree, z)

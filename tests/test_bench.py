@@ -124,6 +124,11 @@ class TestRunExperiment:
         with pytest.raises(InvalidInputError):
             RunConfig(eps=-1.0).validate()
 
+    def test_negative_max_rank_rejected(self):
+        with pytest.raises(InvalidInputError):
+            RunConfig(max_rank=-1).validate()
+        RunConfig(max_rank=0).validate()
+
     def test_dlp_cube_small(self):
         cfg = RunConfig(problem="dlp-cube", n=768, eps=1e-4, eta=2.0,
                         order=3, steps=10)
@@ -203,6 +208,12 @@ class TestCLI:
             main(["--problem", "bogus"])
         err = capsys.readouterr().err
         assert "--problem" in err
+
+    def test_negative_max_rank_diagnostics(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--problem", "log-1d", "--n", "64", "--max-rank", "-1"])
+        err = capsys.readouterr().err
+        assert "max_rank" in err
 
     def test_bad_n_diagnostics(self, capsys):
         with pytest.raises(SystemExit):

@@ -3,10 +3,9 @@ import pytest
 
 from h2mul import (ColumnTree, InvalidInputError, build_block_tree,
                    build_cluster_tree, build_coarse_col_basis,
-                   build_coarse_row_basis, coarsen,
-                   coarsen_total_weights, expand_basis, match_column,
-                   multiply, orthogonalized, project_final, recompress,
-                   to_dense, union_column_tree)
+                   build_coarse_row_basis, coarsen, expand_basis,
+                   match_column, multiply, orthogonalized, project_final,
+                   recompress, to_dense, total_weights, union_column_tree)
 from util import random_basis, random_h2, random_h2_pair, rel_spectral
 
 
@@ -17,21 +16,23 @@ def small_product(seed=0, n=48, tol=0.0, eta=1.0):
 
 
 class TestCoarsenTotalWeights:
+    """The condensation coarsening uses: total weights of a matrix whose
+    column basis is taken as isometric (no basis-weight factors)."""
+
     def test_no_admissible_blocks(self):
         rng = np.random.default_rng(1)
         tree = build_cluster_tree(rng.uniform(size=(12, 1)), 3)
         g = random_h2(rng, tree, tree, eta=1e-9)
-        z = None
+        z = total_weights(g, None, scaling=False).z
         for t in range(tree.nnodes):
-            z_t = coarsen_total_weights(g, t, z if t else None)
-            assert z_t.shape[0] == 0
+            assert z[t].shape[0] == 0
 
     def test_root_with_one_admissible_block(self):
         rng = np.random.default_rng(2)
         left = build_cluster_tree(np.linspace(0, 1, 8), 2)
         right = build_cluster_tree(np.linspace(10, 11, 8), 2)
         g = random_h2(rng, left, right, eta=1.0, rank=3)
-        z = coarsen_total_weights(g, 0, None)
+        z = total_weights(g, None, scaling=False).z[0]
         sv = np.linalg.svd(z, compute_uv=False)
         ref = np.linalg.svd(g.coupling[0].T, compute_uv=False)
         assert np.allclose(np.sort(sv), np.sort(ref), atol=1e-12)
@@ -44,10 +45,7 @@ class TestCoarsenTotalWeights:
         for p in range(tree.nnodes):
             for c in tree.children[p]:
                 parents[c] = p
-        zmap = {}
-        order = sorted(range(tree.nnodes))
-        for t in order:
-            zmap[t] = coarsen_total_weights(g, t, zmap.get(parents.get(t)))
+        zmap = total_weights(g, None, scaling=False).z
         for t in range(tree.nnodes):
             # oracle: stack coupling rows of t and its ancestors, pushed
             # through the transfer chain of the (isometric) row basis
@@ -258,3 +256,10 @@ class TestRecompress:
         err = rel_spectral(to_dense(out), to_dense(inst.h2))
         assert err <= 100 * eps
         assert max(out.row_basis.rank) <= max(inst.h2.row_basis.rank)
+
+    def test_negative_max_rank_rejected(self):
+        x, _, g = small_product(seed=18)
+        with pytest.raises(InvalidInputError):
+            coarsen(g, x.block_tree, 1e-4, max_rank=-1)
+        with pytest.raises(InvalidInputError):
+            recompress(x, 1e-4, max_rank=-1)

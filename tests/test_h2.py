@@ -249,3 +249,28 @@ class TestSerialization:
         g.coupling.clear()
         with pytest.raises(InvalidInputError):
             g.validate()
+
+    def test_validate_rejects_wrong_leaf_matrix(self):
+        rng = np.random.default_rng(21)
+        x, _ = random_h2_pair(rng, n=20)
+        leaf = x.block_tree.rows.leaves()[0]
+        x.row_basis.leaf_matrix[leaf] = x.row_basis.leaf_matrix[leaf][:-1]
+        with pytest.raises(InvalidInputError):
+            x.validate()
+
+    def test_validate_rejects_wrong_transfer(self):
+        rng = np.random.default_rng(22)
+        x, _ = random_h2_pair(rng, n=20)
+        c = x.block_tree.cols.children[0][0]
+        x.col_basis.transfer[c] = np.vstack([x.col_basis.transfer[c],
+                                             np.zeros((1, x.col_basis.rank[0]))])
+        with pytest.raises(InvalidInputError):
+            x.validate()
+
+    def test_validate_rejects_basis_on_other_tree(self):
+        rng = np.random.default_rng(23)
+        x, _ = random_h2_pair(rng, n=20)
+        other = random_cluster_tree(rng, 20, leaf_size=7)
+        x.row_basis = random_basis(rng, other)
+        with pytest.raises(InvalidInputError):
+            x.validate()

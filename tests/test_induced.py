@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from h2mul import (assemble_product, basis_weights,
-                   build_cluster_tree,
-                   build_product_block_tree, cluster_basis_product,
+from h2mul import (InvalidInputError, KernelProblem, assemble_product,
+                   basis_weights, build_cluster_tree, build_problem,
+                   build_product_block_tree, cluster_basis_product, coarsen,
                    compress_induced_col_basis, compress_induced_row_basis,
                    expand_basis, multiply, to_dense, total_weights)
 from util import random_h2, random_h2_pair, rel_spectral
@@ -268,15 +268,6 @@ class TestAssembleProduct:
         out = coarsen(prod, coarse, 0.0)
         assert rel_spectral(to_dense(out), ref) <= 1e-10
 
-    def test_level_decay_tightens(self):
-        rng = np.random.default_rng(74)
-        x, y = random_h2_pair(rng, n=48, leaf_size=4)
-        pxy, zy, _ = phase1_inputs(x, y)
-        uniform = compress_induced_row_basis(x, y, zy, pxy, 1e-2)
-        decayed = compress_induced_row_basis(x, y, zy, pxy, 1e-2,
-                                             level_decay=0.5)
-        assert sum(decayed.q.rank) >= sum(uniform.q.rank)
-
     def test_tolerance_compliance_small(self):
         rng = np.random.default_rng(73)
         x, y = random_h2_pair(rng, n=64, leaf_size=4)
@@ -284,3 +275,31 @@ class TestAssembleProduct:
         ref = to_dense(x) @ to_dense(y)
         # scaled per-factor control gives a small multiple of eps overall
         assert rel_spectral(to_dense(prod), ref) <= 1e-2
+
+    def test_negative_max_rank_rejected(self):
+        rng = np.random.default_rng(76)
+        x, y = random_h2_pair(rng, n=24, leaf_size=4)
+        with pytest.raises(InvalidInputError):
+            multiply(x, y, 1e-4, max_rank=-1)
+
+
+class TestMixedKernelProduct:
+    """Double layer times single layer on the cube mesh: X != Y, and X's
+    row basis differs from its column basis, so the column side, which
+    runs the row-side routines on transposes, does its own work."""
+
+    @pytest.fixture(scope="class")
+    def factors(self):
+        a = build_problem(KernelProblem.dlp_cube(192, order=3), eta=2.0).h2
+        b = build_problem(KernelProblem("cube-surface", "single-layer", 192,
+                                        3), eta=2.0).h2
+        assert a.row_basis.rank != a.col_basis.rank
+        return a, b, to_dense(a) @ to_dense(b)
+
+    @pytest.mark.parametrize("eps, bound", [(0.0, 1e-10), (1e-4, 1e-4)])
+    def test_both_phases_within_bound(self, factors, eps, bound):
+        a, b, ref = factors
+        induced = multiply(a, b, eps)
+        final = coarsen(induced, a.block_tree, eps)
+        assert rel_spectral(to_dense(induced), ref) <= bound
+        assert rel_spectral(to_dense(final), ref) <= bound

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from h2mul import (InvalidInputError, KernelProblem, build_geometry,
-                   build_problem, dense_kernel_matrix, dump_geometry,
+                   build_problem, dense_kernel_matrix,
                    expand_basis, to_dense)
 from util import rel_spectral
 
@@ -40,13 +40,6 @@ class TestGeometry:
             build_geometry(KernelProblem.slp_sphere(100))
         with pytest.raises(InvalidInputError):
             build_geometry(KernelProblem.dlp_cube(100))
-
-    def test_dump(self):
-        geo = build_geometry(KernelProblem.dlp_cube(48))
-        text = dump_geometry(geo)
-        lines = [ln for ln in text.splitlines() if ln.startswith("panel ")]
-        assert len(lines) == 48
-        assert "normal" in lines[0]
 
 
 class TestDenseKernelMatrix:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from h2mul import (InvalidInputError, admissible, admissible_boxes,
-                   build_block_tree, build_cluster_tree, build_column_tree,
-                   build_product_block_tree, refinement_counts,
-                   sparsity_constant)
-from util import random_cluster_tree
+                   build_block_tree, build_cluster_tree,
+                   build_coarse_row_basis, build_product_block_tree,
+                   multiply, refinement_counts, sparsity_constant)
+from util import random_cluster_tree, random_h2
 
 
 class TestClusterTree:
@@ -73,11 +73,6 @@ class TestClusterTree:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             build_cluster_tree(np.zeros((0, 2)), 2)
-
-    def test_dump_mentions_every_node(self):
-        tree = build_cluster_tree(np.arange(8.0), 2)
-        text = tree.dump()
-        assert text.count("leaf") == 4
 
 
 class TestAdmissibility:
@@ -218,13 +213,6 @@ class TestProductBlockTree:
             cover[t_i.start[t]:t_i.stop[t], t_k.start[r]:t_k.stop[r]] += 1
         assert (cover == 1).all()
 
-    def test_dump_labels_leaves(self):
-        pts = (np.arange(8) + 0.5) / 8.0
-        tree = build_cluster_tree(pts, 2)
-        bt = build_block_tree(tree, tree, 1.0)
-        text = bt.dump()
-        assert text.count("adm") >= 1 and text.count("inadm") >= 1
-
     def test_sphere_family_refinement_constant(self):
         # recorded empirical bound for the sphere family at eta = 2
         import h2mul
@@ -248,38 +236,36 @@ class TestProductBlockTree:
 
 
 class TestColumnTree:
-    def _product(self, n=16, eta=1.0):
+    """Column trees of product blocks, as coarsening builds them for every
+    product block inside an admissible block of the input tree."""
+
+    def _reps(self, n=16, eta=1.0):
         pts = (np.arange(n) + 0.5) / n
         tree = build_cluster_tree(pts, 2)
         bt = build_block_tree(tree, tree, eta)
-        return tree, bt, build_product_block_tree(bt, bt)
-
-    def test_admissible_leaf_gives_single_node(self):
-        _, _, pt = self._product()
-        b = pt.admissible_leaves()[0]
-        ct = build_column_tree(pt, b)
-        assert ct.is_leaf() and ct.admissible
-        assert ct.cluster == pt.col[b]
+        x = random_h2(np.random.default_rng(7), tree, tree, blocks=bt)
+        g = multiply(x, x, 0.0)
+        reps = build_coarse_row_basis(g, bt, 0.0).reps
+        assert any(ct.children for ct in reps.values())
+        return tree, g.block_tree, reps
 
     def test_subdivided_block_children(self):
-        tree, _, pt = self._product()
-        internal = [b for b in range(pt.nblocks) if not pt.is_leaf(b)]
-        b = internal[-1]
-        ct = build_column_tree(pt, b)
-        assert set(ct.clusters()) <= set(range(tree.nnodes))
+        tree, _, reps = self._reps()
         # subtree property: children agree with the cluster tree
         def check(node):
+            assert 0 <= node.cluster < tree.nnodes
             if node.children:
                 assert tuple(c.cluster for c in node.children) == \
                     tree.children[node.cluster]
                 for c in node.children:
                     check(c)
-        check(ct)
+        for ct in reps.values():
+            check(ct)
 
     def test_leaf_partition_of_root_range(self):
-        tree, _, pt = self._product()
-        for b in range(pt.nblocks):
-            ct = build_column_tree(pt, b)
+        tree, pt, reps = self._reps()
+        for b, ct in reps.items():
+            assert ct.cluster == pt.col[b]
             spans = [(tree.start[leaf.cluster], tree.stop[leaf.cluster])
                      for leaf in ct.leaves()]
             spans.sort()
@@ -289,9 +275,14 @@ class TestColumnTree:
                 assert a == c
 
     def test_inadmissible_marking(self):
-        tree, _, pt = self._product()
-        root_ct = build_column_tree(pt, pt.root)
-        inadm = {leaf.cluster for leaf in root_ct.leaves()
-                 if not leaf.admissible}
-        expected = {pt.col[b] for b in pt.inadmissible_leaves()}
-        assert inadm == expected
+        _, pt, reps = self._reps()
+        for b, ct in reps.items():
+            inadm = {leaf.cluster for leaf in ct.leaves()
+                     if not leaf.admissible}
+            expected, stack = set(), [b]
+            while stack:
+                b2 = stack.pop()
+                if pt.is_inadmissible_leaf(b2):
+                    expected.add(pt.col[b2])
+                stack.extend(pt.children[b2])
+            assert inadm == expected
