@@ -27,7 +27,6 @@ from .h2 import (H2Matrix, cluster_basis_product, h2_matvec,
 from .induced import (assemble_product, compress_induced_col_basis,
                       compress_induced_row_basis)
 from .problems import KernelProblem, build_problem
-from .trees import build_product_block_tree
 from .weights import basis_weights, total_weights
 
 __all__ = [
@@ -215,8 +214,7 @@ def run_experiment(config: RunConfig) -> RunReport:
                                       max_rank=config.max_rank)
     t1_col = time.perf_counter() - t0
     t0 = time.perf_counter()
-    product_tree = build_product_block_tree(x.block_tree, y.block_tree)
-    induced = assemble_product(x, y, qrow, qcol, pxy, product_tree)
+    induced = assemble_product(x, y, qrow, qcol, pxy)
     t1_mat = time.perf_counter() - t0
 
     coarse = x.block_tree if config.coarsen == "input-tree" \

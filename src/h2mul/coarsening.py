@@ -150,7 +150,6 @@ def _coverage(pt: BlockTree, coarse: BlockTree) -> list[bool]:
 
 def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
                            max_rank: int | None = None,
-                           scale_blocks: bool = True,
                            coupling_norms: dict[int, float] | None = None,
                            nearfield_norms: dict[int, float] | None = None) -> CoarsenState:
     """Adaptive row basis for re-compressing g onto the coarse block tree.
@@ -160,8 +159,12 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
     column basis), the basis is cut bottom-up from the condensed
     matrices [V_t Z_t^T | ...] whose remaining columns are the nearfield
     and subdivided blocks lying inside admissible coarse blocks.  Representations of subdivided
-    blocks are merged from the children by matching column trees.
+    blocks are merged from the children by matching column trees.  Every
+    block is divided by its spectral norm before truncation (block-relative
+    error control); a negative ``max_rank`` raises InvalidInputError.
     """
+    if max_rank is not None and max_rank < 0:
+        raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
     pt = g.block_tree
     _validate_coarse(pt, coarse)
     cov = _coverage(pt, coarse)
@@ -184,15 +187,13 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
     rmap: dict[int, np.ndarray] = {}
     reps: dict[int, ColumnTree] = {}
 
-    if scale_blocks and coupling_norms is None:
+    if coupling_norms is None:
         coupling_norms = _coupling_norms(g)
-    if scale_blocks and nearfield_norms is None:
+    if nearfield_norms is None:
         nearfield_norms = _nearfield_norms(g)
-    zmap = total_weights(g, None, scale_blocks, coupling_norms).z
+    zmap = total_weights(g, None, norms=coupling_norms).z
 
     def scaled(m, nrm=None):
-        if not scale_blocks:
-            return m
         if nrm is None:
             nrm = spectral_norm(m)
         return m / nrm if nrm > 0.0 else m
@@ -239,8 +240,7 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
         if tree.is_leaf(t):
             v_leaf = v1.leaf_matrix[t]
             columns = [v_leaf @ zmap[t].T]
-            columns += [scaled(g.nearfield[b], nearfield_norms[b]
-                               if scale_blocks else None)
+            columns += [scaled(g.nearfield[b], nearfield_norms[b])
                         for b in near_cov[t]]
             stacked = np.hstack(columns)
             svd = truncated_svd(stacked, tol, max_rank=max_rank)
@@ -354,19 +354,14 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
 
 
 def coarsen(g: H2Matrix, coarse: BlockTree, tol: float, *,
-            max_rank: int | None = None,
-            scale_blocks: bool = True) -> H2Matrix:
+            max_rank: int | None = None) -> H2Matrix:
     """Convenience driver for phase 2: both bases plus final projection."""
-    if max_rank is not None and max_rank < 0:
-        raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
-    norms = _coupling_norms(g) if scale_blocks else None
-    nnorms = _nearfield_norms(g) if scale_blocks else None
+    norms = _coupling_norms(g)
+    nnorms = _nearfield_norms(g)
     rowstate = build_coarse_row_basis(g, coarse, tol, max_rank=max_rank,
-                                      scale_blocks=scale_blocks,
                                       coupling_norms=norms,
                                       nearfield_norms=nnorms)
     colstate = build_coarse_col_basis(g, coarse, tol, max_rank=max_rank,
-                                      scale_blocks=scale_blocks,
                                       coupling_norms=norms,
                                       nearfield_norms=nnorms)
     return project_final(g, rowstate, colstate, coarse)

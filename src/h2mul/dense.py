@@ -60,10 +60,12 @@ def truncated_svd(a, tol: float, max_rank: int | None = None) -> TruncatedSVD:
     their inputs block-relatively).  Singular values below
     max(rows, cols) * eps * sigma_1 are treated as numerically zero, so
     exact low-rank inputs are truncated to their true rank even at
-    tol = 0.
+    tol = 0.  A negative ``max_rank`` raises InvalidInputError.
     """
     if tol < 0:
         raise InvalidInputError(f"tolerance must be >= 0, got {tol}")
+    if max_rank is not None and max_rank < 0:
+        raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
     m = as_matrix(a)
     if min(m.shape) == 0:
         return TruncatedSVD(np.zeros((m.shape[0], 0)), np.zeros(0),
@@ -72,7 +74,7 @@ def truncated_svd(a, tol: float, max_rank: int | None = None) -> TruncatedSVD:
     threshold = max(tol, max(m.shape) * _EPS * s[0])
     k = int(np.count_nonzero(s > threshold))
     if max_rank is not None:
-        k = min(k, max(0, int(max_rank)))
+        k = min(k, int(max_rank))
     return TruncatedSVD(np.ascontiguousarray(u[:, :k]), s[:k].copy(),
                         np.ascontiguousarray(vt[:k].T), k)
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .dense import truncated_svd
@@ -22,8 +20,6 @@ __all__ = [
     "to_dense",
     "matvec_cost",
     "storage_bytes",
-    "h2_to_json",
-    "h2_from_json",
 ]
 
 DENSE_GUARD = 16384
@@ -313,89 +309,3 @@ def storage_bytes(g: H2Matrix) -> int:
     total += sum(m.nbytes for m in g.coupling.values())
     total += sum(m.nbytes for m in g.nearfield.values())
     return total
-
-
-def _matrix_to_json(m: np.ndarray):
-    return {"shape": list(m.shape), "data": m.ravel().tolist()}
-
-
-def _matrix_from_json(d) -> np.ndarray:
-    return np.asarray(d["data"], dtype=np.float64).reshape(d["shape"])
-
-
-def _cluster_tree_to_json(t: ClusterTree):
-    return {
-        "points": t.points.tolist(),
-        "perm": t.perm.tolist(),
-        "start": t.start.tolist(),
-        "stop": t.stop.tolist(),
-        "children": [list(c) for c in t.children],
-        "split_axis": list(t.split_axis),
-        "bbox_min": t.bbox_min.tolist(),
-        "bbox_max": t.bbox_max.tolist(),
-    }
-
-
-def _cluster_tree_from_json(d) -> ClusterTree:
-    return ClusterTree(np.asarray(d["points"], dtype=np.float64),
-                       np.asarray(d["perm"], dtype=np.int64),
-                       np.asarray(d["start"], dtype=np.int64),
-                       np.asarray(d["stop"], dtype=np.int64),
-                       [tuple(c) for c in d["children"]],
-                       list(d["split_axis"]),
-                       np.asarray(d["bbox_min"], dtype=np.float64),
-                       np.asarray(d["bbox_max"], dtype=np.float64))
-
-
-def _basis_to_json(b: ClusterBasis):
-    return {
-        "rank": list(b.rank),
-        "leaf_matrix": {str(t): _matrix_to_json(m) for t, m in b.leaf_matrix.items()},
-        "transfer": {str(t): _matrix_to_json(m) for t, m in b.transfer.items()},
-    }
-
-
-def _basis_from_json(d, tree: ClusterTree) -> ClusterBasis:
-    return ClusterBasis(tree, d["rank"],
-                        {int(t): _matrix_from_json(m)
-                         for t, m in d["leaf_matrix"].items()},
-                        {int(t): _matrix_from_json(m)
-                         for t, m in d["transfer"].items()})
-
-
-def h2_to_json(g: H2Matrix) -> str:
-    """JSON serialization (tree topology, ranks, matrices in row-major order).
-
-    Intended for test fixtures; exact to IEEE-754 double round-trip through
-    decimal text, not bit-exact across platforms.
-    """
-    bt = g.block_tree
-    doc = {
-        "rows": _cluster_tree_to_json(bt.rows),
-        "cols": _cluster_tree_to_json(bt.cols),
-        "block_row": list(map(int, bt.row)),
-        "block_col": list(map(int, bt.col)),
-        "block_children": [list(c) for c in bt.children],
-        "block_admissible": [bool(a) for a in bt.admissible],
-        "row_basis": _basis_to_json(g.row_basis),
-        "col_basis": _basis_to_json(g.col_basis),
-        "coupling": {str(b): _matrix_to_json(m) for b, m in g.coupling.items()},
-        "nearfield": {str(b): _matrix_to_json(m) for b, m in g.nearfield.items()},
-    }
-    return json.dumps(doc)
-
-
-def h2_from_json(text: str) -> H2Matrix:
-    doc = json.loads(text)
-    rows = _cluster_tree_from_json(doc["rows"])
-    cols = _cluster_tree_from_json(doc["cols"])
-    bt = BlockTree(rows, cols, doc["block_row"], doc["block_col"],
-                   [tuple(c) for c in doc["block_children"]],
-                   doc["block_admissible"])
-    return H2Matrix(bt,
-                    _basis_from_json(doc["row_basis"], rows),
-                    _basis_from_json(doc["col_basis"], cols),
-                    {int(b): _matrix_from_json(m)
-                     for b, m in doc["coupling"].items()},
-                    {int(b): _matrix_from_json(m)
-                     for b, m in doc["nearfield"].items()})

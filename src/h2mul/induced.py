@@ -15,10 +15,9 @@ from functools import cache, partial
 import numpy as np
 
 from .dense import full_householder_qr, spectral_norm, truncated_svd
-from .errors import InvalidInputError, StructureError
+from .errors import InvalidInputError
 from .h2 import BasisProduct, ClusterBasis, H2Matrix
-from .trees import (KIND_A, KIND_B, KIND_C, BlockTree,
-                    build_product_block_tree, classify_triple, _sub_middles,
+from .trees import (KIND_A, KIND_B, BlockTree, build_product_block_tree,
                     same_cluster_tree)
 from .weights import TotalWeights
 
@@ -86,8 +85,7 @@ def _projected_block(x: H2Matrix, pxy: BasisProduct, basis_change,
 
 def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
                                pxy: BasisProduct, tol: float, *,
-                               max_rank: int | None = None,
-                               scale_blocks: bool = True) -> InducedBasisResult:
+                               max_rank: int | None = None) -> InducedBasisResult:
     """Adaptive isometric basis spanning the products X|ts Y|sr row-wise.
 
     Bottom-up over the row tree.  At a leaf t, the blocks
@@ -96,11 +94,13 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
     V_{X,t} from truncation and the remainder is cut at ``tol`` by a
     singular value decomposition.  Above leaves the same happens in the
     coordinates of the children's bases, so the result is nested by
-    construction.  With ``scale_blocks`` each block is divided by (a
-    lower bound of) its column-factor norm before truncation, yielding
-    block-relative error control; at leaves the exact norm is used, above
-    them the projected surrogate.
+    construction.  Each block is divided by (a lower bound of) its
+    column-factor norm before truncation, yielding block-relative error
+    control; at leaves the exact norm is used, above them the projected
+    surrogate.  A negative ``max_rank`` raises InvalidInputError.
     """
+    if max_rank is not None and max_rank < 0:
+        raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
     bx = x.block_tree
     if not same_cluster_tree(bx.cols, y.block_tree.rows):
         raise InvalidInputError("x and y do not share the middle cluster tree")
@@ -119,13 +119,9 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
         m = vx_t.shape[0]
         weighted = []
         for s, blk in zip(middles, blocks):
-            w = blk @ zy.z[s].T
-            if scale_blocks:
-                nrm = spectral_norm(blk)
-                if nrm == 0.0:
-                    continue
-                w = w / nrm
-            weighted.append(w)
+            nrm = spectral_norm(blk)
+            if nrm > 0.0:
+                weighted.append(blk @ zy.z[s].T / nrm)
         stacked = np.hstack(weighted) if weighted else np.zeros((m, 0))
         q_full, r_fac = full_householder_qr(vx_t)
         k1 = min(vx_t.shape)
@@ -198,25 +194,22 @@ def compress_induced_col_basis(x: H2Matrix, y: H2Matrix,
 
 
 def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
-                     qcol: InducedBasisResult, pxy: BasisProduct,
-                     product_tree: BlockTree | None = None) -> H2Matrix:
+                     qcol: InducedBasisResult, pxy: BasisProduct) -> H2Matrix:
     """H^2-matrix X @ Y over the product block tree in the induced bases.
 
-    Triples (t, s, r) descend from the roots; a middle s terminates as
-    soon as (s, r) or (t, s) is admissible (coupling contribution at the
-    current product block, the doubly admissible case is consumed by the
-    first branch) or both factors are dense (nearfield contribution).
-    Couplings that accumulate on subdivided product blocks are pushed
-    down through the transfer matrices afterwards, which is exact.
-    Contributions to dense product blocks are evaluated exactly, without
-    projecting onto the compressed bases.
+    ``build_product_block_tree`` lists, per product block, the middles s
+    whose triple (t, s, r) terminates there: (s, r) admissible (kind A,
+    which also takes the doubly admissible case), (t, s) admissible
+    (kind B), or both factors dense (kind C).  Each adds a coupling
+    contribution to its block, or a nearfield one if the block is a
+    dense leaf.  Couplings that accumulate on subdivided product blocks
+    are pushed down through the transfer matrices afterwards, which is
+    exact.  Contributions to dense product blocks are evaluated exactly,
+    without projecting onto the compressed bases.
     """
     bx, by = x.block_tree, y.block_tree
-    if not same_cluster_tree(bx.cols, by.rows):
-        raise InvalidInputError("x and y do not share the middle cluster tree")
-    pt = product_tree if product_tree is not None \
-        else build_product_block_tree(bx, by)
-    t_rows, t_mid, t_cols = bx.rows, bx.cols, by.cols
+    pt, terms = build_product_block_tree(bx, by)
+    t_rows, t_cols = bx.rows, by.cols
     vx, wy = x.row_basis, y.col_basis
     q_r, q_c = qrow.q, qcol.q
 
@@ -238,15 +231,10 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
         else:
             store[key] = value
 
-    def rec(node, middles):
+    for node, ended in enumerate(terms):
         t, r = pt.row[node], pt.col[node]
-        is_leaf = pt.is_leaf(node)
-        dense_target = is_leaf and not pt.admissible[node]
-        nonterminal: list[int] = []
-        stack = list(middles)
-        while stack:
-            s = stack.pop()
-            kind = classify_triple(bx, by, t, s, r)
+        dense_target = pt.is_inadmissible_leaf(node)
+        for kind, s in ended:
             if kind == KIND_A:
                 s_y = y.coupling[by.index[(s, r)]]
                 if dense_target:
@@ -263,29 +251,10 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
                 else:
                     add(coupling, node,
                         qrow.basis_change[t] @ s_x @ col_factor(r, s).T)
-            elif kind == KIND_C:
+            else:
                 add(nearfield, node,
                     x.nearfield[bx.index[(t, s)]] @ y.nearfield[by.index[(s, r)]])
-            else:
-                if is_leaf:
-                    # both clusters are leaves: chase the middle only
-                    stack.extend(t_mid.children[s])
-                else:
-                    nonterminal.append(s)
-        if nonterminal:
-            if is_leaf:
-                raise StructureError("unresolved middles at a product leaf")
-            subs = []
-            for s in nonterminal:
-                subs.extend(_sub_middles(bx, by, t_mid, t, s, r))
-            for child in pt.children[node]:
-                rec(child, subs)
-        elif not is_leaf:
-            for child in pt.children[node]:
-                rec(child, [])
-
-    rec(pt.root, [t_mid.root])
-    del rec  # rec references itself: this frees the leaf-product memos
+    del terms, xv, wy_at  # free the triple lists and leaf products early
 
     # push couplings accumulated on subdivided blocks down to the leaves
     for node in range(pt.nblocks):
@@ -318,19 +287,14 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
 
 
 def multiply(x: H2Matrix, y: H2Matrix, tol: float, *,
-             max_rank: int | None = None, scaling: bool = True) -> H2Matrix:
+             max_rank: int | None = None) -> H2Matrix:
     """Convenience driver for phase 1: weights, bases, assembly."""
-    if max_rank is not None and max_rank < 0:
-        raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
     from .h2 import cluster_basis_product
     from .weights import basis_weights, total_weights
 
     pxy = cluster_basis_product(x.col_basis, y.row_basis)
-    zy = total_weights(y, basis_weights(y.col_basis), scaling=scaling)
-    zxt = total_weights(x.transposed(), basis_weights(x.row_basis),
-                        scaling=scaling)
-    qrow = compress_induced_row_basis(x, y, zy, pxy, tol, max_rank=max_rank,
-                                      scale_blocks=scaling)
-    qcol = compress_induced_col_basis(x, y, zxt, pxy, tol, max_rank=max_rank,
-                                      scale_blocks=scaling)
+    zy = total_weights(y, basis_weights(y.col_basis))
+    zxt = total_weights(x.transposed(), basis_weights(x.row_basis))
+    qrow = compress_induced_row_basis(x, y, zy, pxy, tol, max_rank=max_rank)
+    qcol = compress_induced_col_basis(x, y, zxt, pxy, tol, max_rank=max_rank)
     return assemble_product(x, y, qrow, qcol, pxy)

@@ -288,19 +288,22 @@ def _sub_middles(bx: BlockTree, by: BlockTree, middle_tree: ClusterTree,
     return (s,)
 
 
-def build_product_block_tree(bx: BlockTree, by: BlockTree) -> BlockTree:
-    """Minimal block tree on which the product of two block trees is exact.
+def build_product_block_tree(bx: BlockTree, by: BlockTree):
+    """Minimal block tree on which the product of two block trees is exact,
+    with the middles that terminate at each of its blocks.
 
     A pair (t, r) is subdivided while some middle cluster s keeps both
     (t, s) and (s, r) unresolved; pairs of two leaf clusters never
     subdivide (remaining middles are chased through the middle tree
     alone).  A leaf is inadmissible exactly when some middle terminates
-    with a dense-times-dense product there.
+    with a dense-times-dense product there.  Returns ``(tree, terms)``
+    where ``terms[b]`` lists the ``(kind, s)`` of every middle s that
+    terminates at block b, kind being KIND_A, KIND_B or KIND_C.
     """
     if not same_cluster_tree(bx.cols, by.rows):
         raise InvalidInputError("factors do not share the middle cluster tree")
     rows, cols, mid = bx.rows, by.cols, bx.cols
-    row, col, children, adm = [], [], [], []
+    row, col, children, adm, terms = [], [], [], [], []
 
     def rec(t, r, middles):
         b = len(row)
@@ -308,32 +311,35 @@ def build_product_block_tree(bx: BlockTree, by: BlockTree) -> BlockTree:
         col.append(r)
         children.append(())
         adm.append(True)
+        ended = []
+        terms.append(ended)
         nonterminal = []
         stack = list(middles)
-        dense = False
         while stack:
             s = stack.pop()
             kind = classify_triple(bx, by, t, s, r)
-            if kind == KIND_C:
-                dense = True
-            elif kind == KIND_N:
-                if rows.is_leaf(t) and cols.is_leaf(r):
-                    # both clusters exhausted: chase the middle only
-                    stack.extend(mid.children[s])
-                else:
-                    nonterminal.append(s)
+            if kind != KIND_N:
+                ended.append((kind, s))
+            elif rows.is_leaf(t) and cols.is_leaf(r):
+                # both clusters exhausted: chase the middle only
+                stack.extend(mid.children[s])
+            else:
+                nonterminal.append(s)
         if nonterminal:
             subs = []
             for s in nonterminal:
                 subs.extend(_sub_middles(bx, by, mid, t, s, r))
             children[b] = tuple(rec(t2, r2, subs) for t2, r2
                                 in _block_children_pairs(rows, cols, t, r))
-        elif dense:
+        elif any(kind == KIND_C for kind, _ in ended):
             adm[b] = False
         return b
 
     rec(rows.root, cols.root, [mid.root])
-    return BlockTree(rows, cols, row, col, children, adm)
+    # rec references itself; dropping it lets the caller free ``terms``
+    # by dropping its own reference, not at a later gc collection
+    del rec
+    return BlockTree(rows, cols, row, col, children, adm), terms
 
 
 class ColumnTree:

@@ -263,3 +263,10 @@ class TestRecompress:
             coarsen(g, x.block_tree, 1e-4, max_rank=-1)
         with pytest.raises(InvalidInputError):
             recompress(x, 1e-4, max_rank=-1)
+
+    @pytest.mark.parametrize("builder", [build_coarse_row_basis,
+                                         build_coarse_col_basis])
+    def test_builder_rejects_negative_max_rank(self, builder):
+        x, _, g = small_product(seed=18)
+        with pytest.raises(InvalidInputError):
+            builder(g, x.block_tree, 1e-6, max_rank=-1)

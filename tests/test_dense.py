@@ -154,6 +154,10 @@ class TestTruncatedSVD:
         s = truncated_svd(a, 0.0, max_rank=2)
         assert s.retained_rank == 2
 
+    def test_negative_max_rank_rejected(self):
+        with pytest.raises(InvalidInputError):
+            truncated_svd(np.eye(3), 0.0, max_rank=-1)
+
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
             truncated_svd(np.array([[1.0, np.nan], [0.0, 1.0]]), 0.0)

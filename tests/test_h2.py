@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from h2mul import (ClusterBasis, InvalidInputError, build_cluster_tree,
-                   cluster_basis_product, expand_basis, h2_from_json,
-                   h2_matvec, h2_matvec_adjoint, h2_to_json, matvec_cost,
-                   orthogonalize_basis, to_dense)
+                   cluster_basis_product, expand_basis, h2_matvec,
+                   h2_matvec_adjoint, matvec_cost, orthogonalize_basis,
+                   to_dense)
 from util import (random_basis, random_cluster_tree, random_h2,
                   random_h2_pair)
 
@@ -226,16 +226,6 @@ class TestOrthogonalize:
 
 
 class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(18)
-        x, _ = random_h2_pair(rng, n=24)
-        text = h2_to_json(x)
-        back = h2_from_json(text)
-        assert np.allclose(to_dense(back), to_dense(x))
-        assert back.block_tree.nblocks == x.block_tree.nblocks
-        v = rng.standard_normal(x.shape[1])
-        assert np.allclose(h2_matvec(back, v), h2_matvec(x, v))
-
     def test_validate_accepts_random_instance(self):
         rng = np.random.default_rng(19)
         x, _ = random_h2_pair(rng, n=20)

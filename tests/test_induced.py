@@ -236,9 +236,12 @@ class TestAssembleProduct:
         pxy, zy, zxt = phase1_inputs(x, y)
         qrow = compress_induced_row_basis(x, y, zy, pxy, 1e-3)
         qcol = compress_induced_col_basis(x, y, zxt, pxy, 1e-3)
-        pt = build_product_block_tree(x.block_tree, y.block_tree)
-        prod = assemble_product(x, y, qrow, qcol, pxy, pt)
-        assert prod.block_tree is pt
+        pt, _ = build_product_block_tree(x.block_tree, y.block_tree)
+        prod = assemble_product(x, y, qrow, qcol, pxy)
+        bt = prod.block_tree
+        assert (bt.row, bt.col, bt.children, bt.admissible) == \
+            (pt.row, pt.col, pt.children, pt.admissible)
+        assert bt.rows is pt.rows and bt.cols is pt.cols
         prod.validate()
 
     def test_model_problem_exactness_n512(self):
@@ -281,6 +284,17 @@ class TestAssembleProduct:
         x, y = random_h2_pair(rng, n=24, leaf_size=4)
         with pytest.raises(InvalidInputError):
             multiply(x, y, 1e-4, max_rank=-1)
+
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_builder_rejects_negative_max_rank(self, side):
+        rng = np.random.default_rng(76)
+        x, y = random_h2_pair(rng, n=24, leaf_size=4)
+        pxy, zy, zxt = phase1_inputs(x, y)
+        with pytest.raises(InvalidInputError):
+            if side == "row":
+                compress_induced_row_basis(x, y, zy, pxy, 1e-4, max_rank=-1)
+            else:
+                compress_induced_col_basis(x, y, zxt, pxy, 1e-4, max_rank=-1)
 
 
 class TestMixedKernelProduct:

@@ -1,7 +1,10 @@
 """Every module's declared public names exist and star-import cleanly."""
 
 import importlib
+import importlib.util
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,3 +31,14 @@ def test_star_import(name):
     exec(f"from h2mul.{name} import *", namespace)
     for n in getattr(importlib.import_module(f"h2mul.{name}"), "__all__", []):
         assert n in namespace
+
+
+def test_traced_functions_exist(monkeypatch):
+    # the traced benchmark wraps functions by name; a rename must fail here
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    tracer.Tracer(h2mul)

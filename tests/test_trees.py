@@ -4,7 +4,8 @@ import pytest
 from h2mul import (InvalidInputError, admissible, admissible_boxes,
                    build_block_tree, build_cluster_tree,
                    build_coarse_row_basis, build_product_block_tree,
-                   multiply, refinement_counts, sparsity_constant)
+                   multiply, refinement_counts, sparsity_constant, to_dense)
+from h2mul.trees import KIND_A, KIND_B, KIND_C
 from util import random_cluster_tree, random_h2
 
 
@@ -169,14 +170,14 @@ class TestProductBlockTree:
         right = build_cluster_tree(np.linspace(10.0, 11.0, 8), 2)
         bx = build_block_tree(left, right, 1.0)
         by = build_block_tree(right, left, 1.0)
-        pt = build_product_block_tree(bx, by)
+        pt, _ = build_product_block_tree(bx, by)
         assert pt.nblocks == 1
         assert pt.is_admissible_leaf(pt.root)
 
     def test_dense_times_dense(self):
         tree = build_cluster_tree(np.array([[0.0], [0.1]]), 4)
         bx = build_block_tree(tree, tree, 1.0)
-        pt = build_product_block_tree(bx, bx)
+        pt, _ = build_product_block_tree(bx, bx)
         assert pt.nblocks == 1
         assert pt.is_inadmissible_leaf(pt.root)
 
@@ -195,7 +196,7 @@ class TestProductBlockTree:
         pts = (np.arange(16) + 0.5) / 16.0
         tree = build_cluster_tree(pts, 1)
         bt = build_block_tree(tree, tree, 1.0)
-        pt = build_product_block_tree(bt, bt)
+        pt, _ = build_product_block_tree(bt, bt)
         counts = refinement_counts(pt, bt)
         assert max(counts) <= 16
 
@@ -206,7 +207,7 @@ class TestProductBlockTree:
         t_k = random_cluster_tree(rng, 28, 3)
         bx = build_block_tree(t_i, t_j, 1.0)
         by = build_block_tree(t_j, t_k, 1.0)
-        pt = build_product_block_tree(bx, by)
+        pt, _ = build_product_block_tree(bx, by)
         cover = np.zeros((24, 28), dtype=int)
         for b in pt.leaves():
             t, r = pt.row[b], pt.col[b]
@@ -218,7 +219,7 @@ class TestProductBlockTree:
         import h2mul
         inst = h2mul.build_problem(h2mul.KernelProblem.slp_sphere(512, order=3),
                                    eta=2.0)
-        pt = build_product_block_tree(inst.blocks, inst.blocks)
+        pt, _ = build_product_block_tree(inst.blocks, inst.blocks)
         counts = refinement_counts(pt, inst.blocks)
         assert max(counts) <= 48
 
@@ -229,10 +230,50 @@ class TestProductBlockTree:
             pts = (np.arange(n) + 0.5) / n
             tree = build_cluster_tree(pts, 4)
             bt = build_block_tree(tree, tree, 2.0)
-            pt = build_product_block_tree(bt, bt)
+            pt, _ = build_product_block_tree(bt, bt)
             consts.append(sparsity_constant(pt))
         assert consts[2] <= consts[1] + 2
         assert max(consts) <= 24
+
+    @staticmethod
+    def _unbalanced_pair():
+        # odd sizes and mixed dimensions: leaf clusters paired with deeper
+        # subtrees, as in TestAssembleProduct.test_exact_with_unbalanced_trees
+        rng = np.random.default_rng(75)
+        t_i = build_cluster_tree(rng.uniform(size=(37, 2)), 3)
+        t_j = build_cluster_tree(rng.uniform(size=(53, 1)), 5)
+        t_k = build_cluster_tree(rng.uniform(size=(41, 2)), 3)
+        return (random_h2(rng, t_i, t_j, eta=1.0, rank=3),
+                random_h2(rng, t_j, t_k, eta=1.0, rank=3))
+
+    @staticmethod
+    def _log_1d_pair():
+        import h2mul
+        g = h2mul.build_problem(h2mul.KernelProblem.log_1d(64), eta=2.0).h2
+        return g, g
+
+    @pytest.mark.parametrize("pair", ["unbalanced", "log-1d"])
+    def test_terms_tile_the_product(self, pair):
+        x, y = (self._unbalanced_pair() if pair == "unbalanced"
+                else self._log_1d_pair())
+        pt, terms = build_product_block_tree(x.block_tree, y.block_tree)
+        assert len(terms) == pt.nblocks
+        rows, mid, cols = pt.rows, x.block_tree.cols, pt.cols
+        dx, dy = to_dense(x), to_dense(y)
+        total = np.zeros((dx.shape[0], dy.shape[1]))
+        for b, ended in enumerate(terms):
+            t, r = rows.index_range(pt.row[b]), cols.index_range(pt.col[b])
+            for kind, s in ended:
+                assert kind in (KIND_A, KIND_B, KIND_C)
+                s = mid.index_range(s)
+                total[t, r] += dx[t, s] @ dy[s, r]
+            kinds = {kind for kind, _ in ended}
+            if pt.is_leaf(b):
+                assert pt.admissible[b] == (KIND_C not in kinds)
+            else:
+                assert KIND_C not in kinds
+        ref = dx @ dy
+        assert np.linalg.norm(total - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 class TestColumnTree:
