@@ -17,7 +17,7 @@ from .dense import (TruncatedSVD, full_householder_qr, spectral_norm,
 from .errors import InvalidInputError, StructureError
 from .h2 import (BasisProduct, ClusterBasis, H2Matrix, cluster_basis_product,
                  expand_basis, h2_matvec, h2_matvec_adjoint, matvec_cost,
-                 orthogonalize_basis, storage_bytes, to_dense)
+                 nested_basis, orthogonalize_basis, storage_bytes, to_dense)
 from .induced import (InducedBasisResult, assemble_product,
                       compress_induced_col_basis, compress_induced_row_basis,
                       multiply)

@@ -18,9 +18,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .coarsening import (_coupling_norms, _nearfield_norms,
-                         build_coarse_col_basis, build_coarse_row_basis,
-                         project_final, recompress)
+from .coarsening import (_block_norms, build_coarse_col_basis,
+                         build_coarse_row_basis, project_final, recompress)
 from .errors import InvalidInputError
 from .h2 import (H2Matrix, cluster_basis_product, h2_matvec,
                  h2_matvec_adjoint, storage_bytes, to_dense)
@@ -220,8 +219,8 @@ def run_experiment(config: RunConfig) -> RunReport:
     coarse = x.block_tree if config.coarsen == "input-tree" \
         else induced.block_tree
     t0 = time.perf_counter()
-    norms = _coupling_norms(induced)
-    nnorms = _nearfield_norms(induced)
+    norms = _block_norms(induced.coupling)
+    nnorms = _block_norms(induced.nearfield)
     rowstate = build_coarse_row_basis(induced, coarse, config.eps,
                                       max_rank=config.max_rank,
                                       coupling_norms=norms,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dense import spectral_norm, spectral_norms, truncated_svd
 from .errors import InvalidInputError, StructureError
-from .h2 import ClusterBasis, H2Matrix, orthogonalize_basis
+from .h2 import ClusterBasis, H2Matrix, nested_basis, orthogonalize_basis
 from .trees import BlockTree, ColumnTree, same_cluster_tree
 from .weights import total_weights
 
@@ -38,15 +38,14 @@ class CoarsenState:
     """Result of one adaptive coarse-basis construction.
 
     ``q`` is the new isometric nested basis, ``r[t] = Q_t^T V_t`` the
-    change from the old basis, ``z[t]`` the condensation weight, and
-    ``reps[b]`` a column tree with attached representation matrices
-    Q_t^T G|tr for every subdivided-or-nearfield product block (t, r)
-    below an admissible block of the target tree.
+    change from the old basis, and ``reps[b]`` a column tree with
+    attached representation matrices Q_t^T G|tr for every
+    subdivided-or-nearfield product block (t, r) below an admissible
+    block of the target tree.
     """
 
     q: ClusterBasis
     r: dict[int, np.ndarray]
-    z: dict[int, np.ndarray]
     reps: dict[int, ColumnTree]
 
 
@@ -134,18 +133,40 @@ def _validate_coarse(pt: BlockTree, coarse: BlockTree):
 
 def _coverage(pt: BlockTree, coarse: BlockTree) -> list[bool]:
     """Per product block: does an admissible coarse block contain it?"""
-    cov = [False] * pt.nblocks
-
-    def walk(pb, cb, state):
-        if state is None and cb is not None and coarse.is_leaf(cb):
-            state = coarse.admissible[cb]
-        cov[pb] = state is True
+    # per product block: admissibility of the coarse leaf containing it,
+    # None above the coarse leaves; ids are preorder, parents come first
+    state: list[bool | None] = [None] * pt.nblocks
+    for pb in range(pt.nblocks):
+        if state[pb] is None:
+            cb = coarse.index.get((pt.row[pb], pt.col[pb]))
+            if cb is not None and coarse.is_leaf(cb):
+                state[pb] = coarse.admissible[cb]
         for child in pt.children[pb]:
-            key = (pt.row[child], pt.col[child])
-            walk(child, coarse.index.get(key) if state is None else None, state)
+            state[child] = state[pb]
+    return [s is True for s in state]
 
-    walk(pt.root, coarse.root, None)
-    return cov
+
+def _row_rep(g: H2Matrix, b: int, r_t: np.ndarray,
+             reps: dict[int, ColumnTree]) -> ColumnTree:
+    """Q_t^T G|tr of product block b = (t, r) as a column tree: from the
+    basis change ``r_t`` for an admissible leaf, else the stored one."""
+    pt = g.block_tree
+    if pt.is_admissible_leaf(b):
+        return ColumnTree(pt.col[b], (), True, r_t @ g.coupling[b])
+    return reps[b]
+
+
+def _leaf_rep(g: H2Matrix, b: int, r_t: np.ndarray,
+              reps: dict[int, ColumnTree]) -> ColumnTree:
+    """Column tree of a block at a leaf row cluster t, whose sub-blocks
+    all keep t; records the subdivided ones in ``reps``."""
+    pt = g.block_tree
+    if pt.is_leaf(b):
+        return _row_rep(g, b, r_t, reps)
+    rep = ColumnTree(pt.col[b], [_leaf_rep(g, b2, r_t, reps)
+                                 for b2 in pt.children[b]], True)
+    reps[b] = rep
+    return rep
 
 
 def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
@@ -169,7 +190,7 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
     _validate_coarse(pt, coarse)
     cov = _coverage(pt, coarse)
     tree = pt.rows
-    v1, w1 = g.row_basis, g.col_basis
+    w1 = g.col_basis
 
     near_cov: dict[int, list[int]] = {t: [] for t in range(tree.nnodes)}
     sub_cov: dict[int, list[int]] = {t: [] for t in range(tree.nnodes)}
@@ -181,16 +202,12 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
         else:
             sub_cov[pt.row[b]].append(b)
 
-    rank = [0] * tree.nnodes
-    leaf_q: dict[int, np.ndarray] = {}
-    transfer_q: dict[int, np.ndarray] = {}
     rmap: dict[int, np.ndarray] = {}
     reps: dict[int, ColumnTree] = {}
-
     if coupling_norms is None:
-        coupling_norms = _coupling_norms(g)
+        coupling_norms = _block_norms(g.coupling)
     if nearfield_norms is None:
-        nearfield_norms = _nearfield_norms(g)
+        nearfield_norms = _block_norms(g.nearfield)
     zmap = total_weights(g, None, norms=coupling_norms).z
 
     def scaled(m, nrm=None):
@@ -198,86 +215,46 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
             nrm = spectral_norm(m)
         return m / nrm if nrm > 0.0 else m
 
-    def child_rep(b):
-        t2 = pt.row[b]
-        if pt.is_admissible_leaf(b):
-            return ColumnTree(pt.col[b], (), True, rmap[t2] @ g.coupling[b])
-        return reps[b]
-
-    def merged_rep(b, t):
+    def merged_rep(b):
         # children of (t, r) are chil(t) x (chil(r) or {r}) here
         groups: dict[int, list[ColumnTree]] = {}
-        order: list[int] = []
         for b2 in pt.children[b]:
-            r2 = pt.col[b2]
-            if r2 not in groups:
-                groups[r2] = []
-                order.append(r2)
-            groups[r2].append(child_rep(b2))
-        merged = {}
-        for r2 in order:
-            parts = groups[r2]
+            groups.setdefault(pt.col[b2], []).append(
+                _row_rep(g, b2, rmap[pt.row[b2]], reps))
+        merged = []
+        for parts in groups.values():
             target = reduce(union_column_tree, parts, None)
-            merged[r2] = _stack_reps([match_column(p, target, w1)
-                                      for p in parts])
+            merged.append(_stack_reps([match_column(p, target, w1)
+                                       for p in parts]))
         r = pt.col[b]
-        if order == [r]:
-            return merged[r]
-        return ColumnTree(r, [merged[r2] for r2 in order], True)
+        if list(groups) == [r]:
+            return merged[0]
+        return ColumnTree(r, merged, True)
 
-    def compose_leaf_rep(b, t):
-        # subdivided block at a leaf row cluster: children keep t fixed
-        if pt.is_admissible_leaf(b):
-            return ColumnTree(pt.col[b], (), True, rmap[t] @ g.coupling[b])
-        if pt.is_inadmissible_leaf(b):
-            return reps[b]
-        kids = [compose_leaf_rep(b2, t) for b2 in pt.children[b]]
-        rep = ColumnTree(pt.col[b], kids, True)
-        reps[b] = rep
-        return rep
-
-    def rec(t):
-        if tree.is_leaf(t):
-            v_leaf = v1.leaf_matrix[t]
-            columns = [v_leaf @ zmap[t].T]
-            columns += [scaled(g.nearfield[b], nearfield_norms[b])
-                        for b in near_cov[t]]
-            stacked = np.hstack(columns)
-            svd = truncated_svd(stacked, tol, max_rank=max_rank)
-            q_t = svd.u
-            rank[t] = svd.retained_rank
-            leaf_q[t] = q_t
-            rmap[t] = q_t.T @ v_leaf
+    def cut(t, v_t):
+        leaf = tree.is_leaf(t)
+        if leaf:
+            extra = [scaled(g.nearfield[b], nearfield_norms[b])
+                     for b in near_cov[t]]
+        else:
+            merged = [merged_rep(b) for b in sub_cov[t]]
+            extra = [scaled(_flatten_rep(rep)) for rep in merged]
+        svd = truncated_svd(np.hstack([v_t @ zmap[t].T] + extra), tol,
+                            max_rank=max_rank)
+        q_t = svd.u
+        r_t = q_t.T @ v_t
+        if leaf:
             for b in near_cov[t]:
                 reps[b] = ColumnTree(pt.col[b], (), False, q_t.T @ g.nearfield[b])
             for b in sub_cov[t]:
-                compose_leaf_rep(b, t)
+                _leaf_rep(g, b, r_t, reps)
         else:
-            for c in tree.children[t]:
-                rec(c)
-            vhat = np.vstack([rmap[c] @ v1.transfer[c]
-                              for c in tree.children[t]])
-            merged = [merged_rep(b, t) for b in sub_cov[t]]
-            columns = [vhat @ zmap[t].T]
-            columns += [scaled(_flatten_rep(rep)) for rep in merged]
-            stacked = np.hstack(columns)
-            svd = truncated_svd(stacked, tol, max_rank=max_rank)
-            q_hat = svd.u
-            rank[t] = svd.retained_rank
-            offset = 0
-            for c in tree.children[t]:
-                transfer_q[c] = q_hat[offset:offset + rank[c]]
-                offset += rank[c]
-            rmap[t] = q_hat.T @ vhat
             for b, rep in zip(sub_cov[t], merged):
-                reps[b] = _map_rep(rep, lambda m: q_hat.T @ m)
+                reps[b] = _map_rep(rep, lambda m: q_t.T @ m)
+        return q_t, r_t
 
-    rec(tree.root)
-    # the recursive closures reference themselves; dropping them frees
-    # this call's matrices with its result, not at a later gc collection
-    del rec, compose_leaf_rep
-    q = ClusterBasis(tree, rank, leaf_q, transfer_q)
-    return CoarsenState(q, rmap, zmap, reps)
+    q, _ = nested_basis(g.row_basis, cut, rmap)
+    return CoarsenState(q, rmap, reps)
 
 
 def build_coarse_col_basis(g: H2Matrix, coarse: BlockTree, tol: float,
@@ -287,16 +264,23 @@ def build_coarse_col_basis(g: H2Matrix, coarse: BlockTree, tol: float,
                                   **kwargs)
 
 
-def _coupling_norms(g: H2Matrix) -> dict[int, float]:
-    keys = list(g.coupling)
-    vals = spectral_norms([g.coupling[b] for b in keys])
-    return dict(zip(keys, vals))
+def _block_norms(blocks: dict[int, np.ndarray]) -> dict[int, float]:
+    keys = list(blocks)
+    return dict(zip(keys, spectral_norms([blocks[b] for b in keys])))
 
 
-def _nearfield_norms(g: H2Matrix) -> dict[int, float]:
-    keys = list(g.nearfield)
-    vals = spectral_norms([g.nearfield[b] for b in keys])
-    return dict(zip(keys, vals))
+def _lift(node: ColumnTree, chain: np.ndarray, out: np.ndarray,
+          qcol: ClusterBasis, rcol: dict[int, np.ndarray]):
+    """Add a row representation's columns, expressed in the new column
+    basis and pushed up through the transfer ``chain``, into ``out``."""
+    if node.is_leaf():
+        if node.admissible:
+            out += node.matrix @ rcol[node.cluster].T @ chain
+        else:
+            out += node.matrix @ qcol.leaf_matrix[node.cluster] @ chain
+        return
+    for c in node.children:
+        _lift(c, qcol.transfer[c.cluster] @ chain, out, qcol, rcol)
 
 
 def project_final(g: H2Matrix, rowstate: CoarsenState,
@@ -312,23 +296,6 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
     pt = g.block_tree
     _validate_coarse(pt, coarse)
     qrow, qcol = rowstate.q, colstate.q
-
-    def row_rep(b):
-        if pt.is_admissible_leaf(b):
-            return ColumnTree(pt.col[b], (), True,
-                              rowstate.r[pt.row[b]] @ g.coupling[b])
-        return rowstate.reps[b]
-
-    def lift(node, chain, out):
-        if node.is_leaf():
-            if node.admissible:
-                out += node.matrix @ colstate.r[node.cluster].T @ chain
-            else:
-                out += node.matrix @ qcol.leaf_matrix[node.cluster] @ chain
-            return
-        for c in node.children:
-            lift(c, qcol.transfer[c.cluster] @ chain, out)
-
     coupling: dict[int, np.ndarray] = {}
     nearfield: dict[int, np.ndarray] = {}
     rows, cols = coarse.rows, coarse.cols
@@ -339,7 +306,8 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
         pb = pt.index[(t, r)]
         if coarse.admissible[b]:
             s_tr = np.zeros((qrow.rank[t], qcol.rank[r]))
-            lift(row_rep(pb), np.eye(qcol.rank[r]), s_tr)
+            _lift(_row_rep(g, pb, rowstate.r[t], rowstate.reps),
+                  np.eye(qcol.rank[r]), s_tr, qcol, colstate.r)
             coupling[b] = s_tr
         else:
             if pt.is_inadmissible_leaf(pb):
@@ -356,8 +324,8 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
 def coarsen(g: H2Matrix, coarse: BlockTree, tol: float, *,
             max_rank: int | None = None) -> H2Matrix:
     """Convenience driver for phase 2: both bases plus final projection."""
-    norms = _coupling_norms(g)
-    nnorms = _nearfield_norms(g)
+    norms = _block_norms(g.coupling)
+    nnorms = _block_norms(g.nearfield)
     rowstate = build_coarse_row_basis(g, coarse, tol, max_rank=max_rank,
                                       coupling_norms=norms,
                                       nearfield_norms=nnorms)

@@ -13,6 +13,7 @@ __all__ = [
     "BasisProduct",
     "H2Matrix",
     "expand_basis",
+    "nested_basis",
     "orthogonalize_basis",
     "cluster_basis_product",
     "h2_matvec",
@@ -72,6 +73,46 @@ def expand_basis(basis: ClusterBasis, t: int) -> np.ndarray:
     return basis.expand(t)
 
 
+def nested_basis(v: ClusterBasis, cut, r: dict | None = None):
+    """New nested basis cut from ``v`` cluster by cluster, bottom-up.
+
+    Children are cut before their parent (ids are preorder, so the loop
+    runs them in reverse).  ``cut(t, v_t)`` gets the leaf matrix at a
+    leaf and, above, the old basis in the coordinates of the children's
+    new bases, the stack of r[c] @ E_c over the children c.  It returns
+    ``(q_t, r_t)``: the new basis at t in the same coordinates (its rows
+    become the children's transfer matrices) and the change r_t from the
+    old one.  ``r`` is filled in place, so a cut can read the children's
+    changes through it.  Returns ``(basis, r)``.
+    """
+    tree = v.tree
+    rank = [0] * tree.nnodes
+    leaf_matrix: dict[int, np.ndarray] = {}
+    transfer: dict[int, np.ndarray] = {}
+    if r is None:
+        r = {}
+    for t in reversed(range(tree.nnodes)):
+        children = tree.children[t]
+        if children:
+            v_t = np.vstack([r[c] @ v.transfer[c] for c in children])
+        else:
+            v_t = v.leaf_matrix[t]
+        q_t, r[t] = cut(t, v_t)
+        rank[t] = q_t.shape[1]
+        if not children:
+            leaf_matrix[t] = q_t
+        offset = 0
+        for c in children:
+            transfer[c] = q_t[offset:offset + rank[c]]
+            offset += rank[c]
+    return ClusterBasis(tree, rank, leaf_matrix, transfer), r
+
+
+def _exact_cut(t: int, v_t: np.ndarray):
+    svd = truncated_svd(v_t, 0.0)
+    return svd.u, svd.sigma[:, None] * svd.v.T
+
+
 def orthogonalize_basis(basis: ClusterBasis):
     """Isometric re-factorization of a cluster basis.
 
@@ -79,34 +120,7 @@ def orthogonalize_basis(basis: ClusterBasis):
     and isometric per-cluster q.  Exact zero directions are dropped, so
     rank-deficient inputs come back with reduced ranks.
     """
-    tree = basis.tree
-    rank = [0] * tree.nnodes
-    leaf_matrix: dict[int, np.ndarray] = {}
-    transfer: dict[int, np.ndarray] = {}
-    rmap: dict[int, np.ndarray] = {}
-
-    def rec(t):
-        if tree.is_leaf(t):
-            stacked = basis.leaf_matrix[t]
-        else:
-            for c in tree.children[t]:
-                rec(c)
-            stacked = np.vstack([rmap[c] @ basis.transfer[c]
-                                 for c in tree.children[t]])
-        svd = truncated_svd(stacked, 0.0)
-        q = svd.u
-        rmap[t] = svd.sigma[:, None] * svd.v.T
-        rank[t] = svd.retained_rank
-        if tree.is_leaf(t):
-            leaf_matrix[t] = q
-        else:
-            offset = 0
-            for c in tree.children[t]:
-                transfer[c] = q[offset:offset + rank[c]]
-                offset += rank[c]
-
-    rec(tree.root)
-    return ClusterBasis(tree, rank, leaf_matrix, transfer), rmap
+    return nested_basis(basis, _exact_cut)
 
 
 class BasisProduct:
@@ -121,23 +135,19 @@ class BasisProduct:
 
 
 def cluster_basis_product(wx: ClusterBasis, vy: ClusterBasis) -> BasisProduct:
-    """Recursive computation of W_X,s^T V_Y,s for every cluster s."""
+    """W_X,s^T V_Y,s for every cluster s, bottom-up through the transfers."""
     if not same_cluster_tree(wx.tree, vy.tree):
         raise InvalidInputError("bases live on different cluster trees")
     tree = wx.tree
     p: dict[int, np.ndarray] = {}
-
-    def rec(s):
+    for s in reversed(range(tree.nnodes)):
         if tree.is_leaf(s):
             p[s] = wx.leaf_matrix[s].T @ vy.leaf_matrix[s]
-            return
+            continue
         acc = np.zeros((wx.rank[s], vy.rank[s]))
         for c in tree.children[s]:
-            rec(c)
             acc += wx.transfer[c].T @ p[c] @ vy.transfer[c]
         p[s] = acc
-
-    rec(tree.root)
     return BasisProduct(tree, p)
 
 
@@ -157,16 +167,21 @@ class H2Matrix:
         self.col_basis = col_basis
         self.coupling = coupling
         self.nearfield = nearfield
+        self._transposed: H2Matrix | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.block_tree.rows.npoints, self.block_tree.cols.npoints)
 
     def transposed(self) -> "H2Matrix":
-        return H2Matrix(self.block_tree.transposed(),
-                        self.col_basis, self.row_basis,
-                        {b: s.T for b, s in self.coupling.items()},
-                        {b: m.T for b, m in self.nearfield.items()})
+        """G^T, sharing this matrix's arrays; built on the first call and
+        kept, so repeated adjoint matvecs do not rebuild it."""
+        if self._transposed is None:
+            self._transposed = H2Matrix(
+                self.block_tree.transposed(), self.col_basis, self.row_basis,
+                {b: s.T for b, s in self.coupling.items()},
+                {b: m.T for b, m in self.nearfield.items()})
+        return self._transposed
 
     def validate(self):
         """Check the bases, the coupling/nearfield placement and all

@@ -16,10 +16,11 @@ import numpy as np
 
 from .dense import full_householder_qr, spectral_norm, truncated_svd
 from .errors import InvalidInputError
-from .h2 import BasisProduct, ClusterBasis, H2Matrix
+from .h2 import (BasisProduct, ClusterBasis, H2Matrix, cluster_basis_product,
+                 nested_basis)
 from .trees import (KIND_A, KIND_B, BlockTree, build_product_block_tree,
                     same_cluster_tree)
-from .weights import TotalWeights
+from .weights import TotalWeights, basis_weights, total_weights
 
 __all__ = [
     "InducedBasisResult",
@@ -105,48 +106,15 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
     if not same_cluster_tree(bx.cols, y.block_tree.rows):
         raise InvalidInputError("x and y do not share the middle cluster tree")
     t_rows = bx.rows
-    vx, vy = x.row_basis, y.row_basis
+    vy = y.row_basis
     cols_of = _inadmissible_columns(bx)
-
-    rank = [0] * t_rows.nnodes
-    leaf_q: dict[int, np.ndarray] = {}
-    transfer_q: dict[int, np.ndarray] = {}
     basis_change: dict[int, np.ndarray] = {}
     projections: dict[tuple[int, int], np.ndarray] = {}
 
-    def compress_at(t, vx_t, blocks, middles, leaf):
-        # vx_t: the (projected) V_{X,t}; blocks[i]: (projected) X|ts_i V_{Y,s_i}
-        m = vx_t.shape[0]
-        weighted = []
-        for s, blk in zip(middles, blocks):
-            nrm = spectral_norm(blk)
-            if nrm > 0.0:
-                weighted.append(blk @ zy.z[s].T / nrm)
-        stacked = np.hstack(weighted) if weighted else np.zeros((m, 0))
-        q_full, r_fac = full_householder_qr(vx_t)
-        k1 = min(vx_t.shape)
-        remainder = q_full[:, k1:].T @ stacked
-        cap = None if max_rank is None else max(0, max_rank - k1)
-        svd = truncated_svd(remainder, tol, max_rank=cap)
-        q_t = np.hstack([q_full[:, :k1], q_full[:, k1:] @ svd.u])
-        rank[t] = k1 + svd.retained_rank
-        basis_change[t] = np.vstack([r_fac[:k1],
-                                     np.zeros((svd.retained_rank, vx_t.shape[1]))])
-        for s, blk in zip(middles, blocks):
-            projections[(t, s)] = q_t.T @ blk
-        if leaf:
-            leaf_q[t] = q_t
-        else:
-            offset = 0
-            for c in t_rows.children[t]:
-                transfer_q[c] = q_t[offset:offset + rank[c]]
-                offset += rank[c]
-
-    def ahat(t, s):
+    def ahat(t, s, nrows):
         # U_t^T X|ts V_{Y,s} assembled from the children's projections
         b = bx.index[(t, s)]
-        total_rows = sum(rank[c] for c in t_rows.children[t])
-        acc = np.zeros((total_rows, vy.rank[s]))
+        acc = np.zeros((nrows, vy.rank[s]))
         by_col: dict[int, list[np.ndarray]] = {}
         for b2 in bx.children[b]:
             by_col.setdefault(bx.col[b2], []).append(_projected_block(
@@ -156,24 +124,32 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
             acc += block @ vy.transfer[s2] if s2 != s else block
         return acc
 
-    def rec(t):
+    def cut(t, vx_t):
+        # vx_t: the (projected) V_{X,t}; blocks[i]: (projected) X|ts_i V_{Y,s_i}
         middles = cols_of[t]
         if t_rows.is_leaf(t):
             blocks = [_xv_at_leaf(x, y, pxy, t, s) for s in middles]
-            compress_at(t, vx.leaf_matrix[t], blocks, middles, leaf=True)
         else:
-            for c in t_rows.children[t]:
-                rec(c)
-            vhat = np.vstack([basis_change[c] @ vx.transfer[c]
-                              for c in t_rows.children[t]])
-            blocks = [ahat(t, s) for s in middles]
-            compress_at(t, vhat, blocks, middles, leaf=False)
+            blocks = [ahat(t, s, vx_t.shape[0]) for s in middles]
+        weighted = []
+        for s, blk in zip(middles, blocks):
+            nrm = spectral_norm(blk)
+            if nrm > 0.0:
+                weighted.append(blk @ zy.z[s].T / nrm)
+        stacked = np.hstack(weighted) if weighted \
+            else np.zeros((vx_t.shape[0], 0))
+        q_full, r_fac = full_householder_qr(vx_t)
+        k1 = min(vx_t.shape)
+        remainder = q_full[:, k1:].T @ stacked
+        cap = None if max_rank is None else max(0, max_rank - k1)
+        svd = truncated_svd(remainder, tol, max_rank=cap)
+        q_t = np.hstack([q_full[:, :k1], q_full[:, k1:] @ svd.u])
+        for s, blk in zip(middles, blocks):
+            projections[(t, s)] = q_t.T @ blk
+        return q_t, np.vstack([r_fac[:k1],
+                               np.zeros((svd.retained_rank, vx_t.shape[1]))])
 
-    rec(t_rows.root)
-    # rec references itself; dropping it frees this call's matrices with
-    # its result, not at a later gc collection
-    del rec
-    q = ClusterBasis(t_rows, rank, leaf_q, transfer_q)
+    q, _ = nested_basis(x.row_basis, cut, basis_change)
     return InducedBasisResult(q, basis_change, projections)
 
 
@@ -289,9 +265,6 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
 def multiply(x: H2Matrix, y: H2Matrix, tol: float, *,
              max_rank: int | None = None) -> H2Matrix:
     """Convenience driver for phase 1: weights, bases, assembly."""
-    from .h2 import cluster_basis_product
-    from .weights import basis_weights, total_weights
-
     pxy = cluster_basis_product(x.col_basis, y.row_basis)
     zy = total_weights(y, basis_weights(y.col_basis))
     zxt = total_weights(x.transposed(), basis_weights(x.row_basis))

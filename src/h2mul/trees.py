@@ -125,6 +125,7 @@ def build_cluster_tree(points, leaf_size: int) -> ClusterTree:
         return node
 
     rec(0, n)
+    del rec  # rec references itself: free it now, not at a gc collection
     return ClusterTree(work, perm, np.asarray(start), np.asarray(stop),
                        children, split_axis,
                        np.asarray(bbox_min), np.asarray(bbox_max))
@@ -248,6 +249,7 @@ def build_block_tree(rows: ClusterTree, cols: ClusterTree,
         return b
 
     rec(rows.root, cols.root)
+    del rec  # rec references itself: free it now, not at a gc collection
     return BlockTree(rows, cols, row, col, children, adm)
 
 

@@ -42,17 +42,12 @@ def basis_weights(w: ClusterBasis) -> BasisWeights:
     """
     tree = w.tree
     r: dict[int, np.ndarray] = {}
-
-    def rec(c):
+    for c in reversed(range(tree.nnodes)):
         if tree.is_leaf(c):
             r[c] = qr_r(w.leaf_matrix[c])
-            return
-        for c2 in tree.children[c]:
-            rec(c2)
-        stacked = np.vstack([r[c2] @ w.transfer[c2] for c2 in tree.children[c]])
-        r[c] = qr_r(stacked)
-
-    rec(tree.root)
+        else:
+            r[c] = qr_r(np.vstack([r[c2] @ w.transfer[c2]
+                                   for c2 in tree.children[c]]))
     return BasisWeights(tree, r)
 
 
@@ -79,11 +74,9 @@ def total_weights(y: H2Matrix, rw: BasisWeights | None, scaling: bool = True,
         row_map[bt.row[b]].append(b)
 
     z: dict[int, np.ndarray] = {}
-
-    def rec(s, z_parent):
-        parts = []
-        if z_parent is not None:
-            parts.append(z_parent @ vy.transfer[s].T)
+    pushed: dict[int, np.ndarray] = {}  # child -> parent weight, pushed down
+    for s in range(tree.nnodes):
+        parts = [pushed.pop(s)] if s in pushed else []
         for b in row_map[s]:
             block = y.coupling[b].T if rw is None \
                 else rw.r[bt.col[b]] @ y.coupling[b].T
@@ -99,7 +92,5 @@ def total_weights(y: H2Matrix, rw: BasisWeights | None, scaling: bool = True,
             stacked = np.zeros((0, vy.rank[s]))
         z[s] = qr_r(stacked)
         for c in tree.children[s]:
-            rec(c, z[s])
-
-    rec(tree.root, None)
+            pushed[c] = z[s] @ vy.transfer[c].T
     return TotalWeights(tree, z)

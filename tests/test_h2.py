@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from h2mul import (ClusterBasis, InvalidInputError, build_cluster_tree,
+from h2mul import (ClusterBasis, H2Matrix, InvalidInputError,
+                   build_block_tree, build_cluster_tree,
                    cluster_basis_product, expand_basis, h2_matvec,
-                   h2_matvec_adjoint, matvec_cost, orthogonalize_basis,
-                   to_dense)
+                   h2_matvec_adjoint, matvec_cost, nested_basis,
+                   orthogonalize_basis, to_dense)
 from util import (random_basis, random_cluster_tree, random_h2,
                   random_h2_pair)
 
@@ -111,6 +112,14 @@ class TestMatvec:
         ref = dense.T @ v
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    def test_transpose_built_once(self):
+        rng = np.random.default_rng(7)
+        x, _ = random_h2_pair(rng, n=40)
+        xt = x.transposed()
+        h2_matvec_adjoint(x, rng.standard_normal(x.shape[0]))
+        assert x.transposed() is xt
+        assert np.allclose(to_dense(xt), to_dense(x).T, atol=1e-12)
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(8)
         x, _ = random_h2_pair(rng, n=16)
@@ -210,12 +219,19 @@ class TestOrthogonalize:
         assert q.rank[0] == 1
         assert np.allclose(q.leaf_matrix[0] @ r[0], v, atol=1e-12)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_reconstruction(self, seed):
+    @pytest.mark.parametrize("seed, build", [
+        *(pytest.param(seed, orthogonalize_basis, id=f"{seed}")
+          for seed in range(5)),
+        # any lossless cut through nested_basis: a thin QR, not the SVD
+        *(pytest.param(seed, lambda v: nested_basis(
+            v, lambda t, v_t: np.linalg.qr(v_t)), id=f"qr-{seed}")
+          for seed in range(5)),
+    ])
+    def test_reconstruction(self, seed, build):
         rng = np.random.default_rng(seed)
         tree = random_cluster_tree(rng, 28, 4)
         basis = random_basis(rng, tree, 3)
-        q, r = orthogonalize_basis(basis)
+        q, r = build(basis)
         for t in range(tree.nnodes):
             got = expand_basis(q, t) @ r[t]
             ref = expand_basis(basis, t)
@@ -223,6 +239,48 @@ class TestOrthogonalize:
             k = q.rank[t]
             gram = q.gram(t)
             assert np.linalg.norm(gram - np.eye(k)) <= 1e-11
+
+
+class TestNestedBasis:
+    def test_children_cut_before_parent(self):
+        rng = np.random.default_rng(21)
+        tree = random_cluster_tree(rng, 40, 4)
+        order = []
+
+        def cut(t, v_t):
+            order.append(t)
+            return np.linalg.qr(v_t)
+
+        r = {}
+        _, out = nested_basis(random_basis(rng, tree, 3), cut, r)
+        assert out is r and sorted(r) == list(range(tree.nnodes))
+        assert sorted(order) == list(range(tree.nnodes))
+        pos = {t: i for i, t in enumerate(order)}
+        for t in range(tree.nnodes):
+            for c in tree.children[t]:
+                assert pos[c] < pos[t]
+
+    def test_rank_zero_clusters(self):
+        rng = np.random.default_rng(22)
+        tree = random_cluster_tree(rng, 40, 4)
+        empty = {t for t in range(tree.nnodes) if t % 3 == 1}
+
+        def cut(t, v_t):
+            if t in empty:
+                return np.zeros((v_t.shape[0], 0)), np.zeros((0, v_t.shape[1]))
+            return np.linalg.qr(v_t)
+
+        q, r = nested_basis(random_basis(rng, tree, 3), cut)
+        assert {t for t in range(tree.nnodes) if q.rank[t] == 0} >= empty
+        # a matrix on the new basis passes the structural checks
+        bt = build_block_tree(tree, tree, 1.0)
+        coupling = {b: np.zeros((q.rank[bt.row[b]], q.rank[bt.col[b]]))
+                    for b in bt.admissible_leaves()}
+        nearfield = {b: np.zeros((tree.size(bt.row[b]), tree.size(bt.col[b])))
+                     for b in bt.inadmissible_leaves()}
+        H2Matrix(bt, q, q, coupling, nearfield).validate()
+        assert expand_basis(q, tree.root).shape == (tree.npoints,
+                                                     q.rank[tree.root])
 
 
 class TestSerialization:
