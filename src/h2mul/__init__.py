@@ -15,9 +15,10 @@ from .coarsening import (CoarsenState, build_coarse_col_basis,
 from .dense import (TruncatedSVD, full_householder_qr, spectral_norm,
                     truncated_svd)
 from .errors import InvalidInputError, StructureError
-from .h2 import (BasisProduct, ClusterBasis, H2Matrix, cluster_basis_product,
-                 expand_basis, h2_matvec, h2_matvec_adjoint, matvec_cost,
-                 nested_basis, orthogonalize_basis, storage_bytes, to_dense)
+from .h2 import (BasisProduct, ClusterBasis, H2Matrix, PackedBlocks,
+                 cluster_basis_product, expand_basis, h2_matvec,
+                 h2_matvec_adjoint, matvec_cost, nested_basis,
+                 orthogonalize_basis, storage_bytes, to_dense)
 from .induced import (InducedBasisResult, assemble_product,
                       compress_induced_col_basis, compress_induced_row_basis,
                       multiply)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .dense import spectral_norm, spectral_norms, truncated_svd
 from .errors import InvalidInputError, StructureError
-from .h2 import ClusterBasis, H2Matrix, nested_basis, orthogonalize_basis
+from .h2 import (ClusterBasis, H2Matrix, PackedBlocks, nested_basis,
+                 orthogonalize_basis)
 from .trees import BlockTree, ColumnTree, same_cluster_tree
 from .weights import total_weights
 
@@ -291,30 +292,30 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
     representation matrices and basis changes through the transfer
     chains, never touching O(n)-sized data per block; inadmissible
     coarse leaves are copied (or materialized) densely from the refined
-    matrix.
+    matrix.  On the refined tree itself (recompression) the result
+    shares the refined matrix's nearfield storage.
     """
     pt = g.block_tree
     _validate_coarse(pt, coarse)
     qrow, qcol = rowstate.q, colstate.q
-    coupling: dict[int, np.ndarray] = {}
-    nearfield: dict[int, np.ndarray] = {}
-    rows, cols = coarse.rows, coarse.cols
+    coupling = PackedBlocks.zero_couplings(coarse, qrow, qcol)
+    nearfield = g.packed_nearfield if coarse is pt \
+        else PackedBlocks.zero_nearfield(coarse)
     for b in range(coarse.nblocks):
         if not coarse.is_leaf(b):
             continue
         t, r = coarse.row[b], coarse.col[b]
         pb = pt.index[(t, r)]
         if coarse.admissible[b]:
-            s_tr = np.zeros((qrow.rank[t], qcol.rank[r]))
             _lift(_row_rep(g, pb, rowstate.r[t], rowstate.reps),
-                  np.eye(qcol.rank[r]), s_tr, qcol, colstate.r)
-            coupling[b] = s_tr
-        else:
+                  np.eye(qcol.rank[r]), coupling.blocks[b], qcol, colstate.r)
+        elif coarse is not pt:
             if pt.is_inadmissible_leaf(pb):
-                nearfield[b] = g.nearfield[pb].copy()
+                nearfield.blocks[b][...] = g.nearfield[pb]
             elif pt.is_admissible_leaf(pb):
-                nearfield[b] = (g.row_basis.leaf_matrix[t] @ g.coupling[pb]
-                                @ g.col_basis.leaf_matrix[r].T)
+                nearfield.blocks[b][...] = (g.row_basis.leaf_matrix[t]
+                                            @ g.coupling[pb]
+                                            @ g.col_basis.leaf_matrix[r].T)
             else:
                 raise StructureError("inadmissible coarse leaf is subdivided "
                                      "in the product tree")
@@ -340,9 +341,11 @@ def orthogonalized(g: H2Matrix) -> H2Matrix:
     qrow, rrow = orthogonalize_basis(g.row_basis)
     qcol, rcol = orthogonalize_basis(g.col_basis)
     bt = g.block_tree
-    coupling = {b: rrow[bt.row[b]] @ s @ rcol[bt.col[b]].T
-                for b, s in g.coupling.items()}
-    return H2Matrix(bt, qrow, qcol, coupling, g.nearfield)
+    coupling = PackedBlocks.zero_couplings(bt, qrow, qcol)
+    for b, s in g.coupling.items():
+        np.matmul(rrow[bt.row[b]] @ s, rcol[bt.col[b]].T,
+                  out=coupling.blocks[b])
+    return H2Matrix(bt, qrow, qcol, coupling, g.packed_nearfield)
 
 
 def recompress(g: H2Matrix, tol: float, *,

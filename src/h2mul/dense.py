@@ -1,9 +1,12 @@
 """Dense backbone for the tree algorithms: QR, truncated SVD, norms.
 
-All matrices are two-dimensional float64 numpy arrays in row-major (C)
-order.  The factorizations delegate to LAPACK through numpy; what this
-module adds on top is input checking, empty-matrix conventions and the
-truncation rule used throughout the compression algorithms.
+All matrices are two-dimensional float64 numpy arrays, C- or
+Fortran-ordered: coupling and nearfield blocks arrive as C-contiguous
+views into their packed block columns, and those of a transposed matrix
+as Fortran-contiguous transposes of these.  The factorizations
+delegate to LAPACK through numpy; what this module adds on top is
+input checking, empty-matrix conventions and the truncation rule used
+throughout the compression algorithms.
 """
 
 from __future__ import annotations

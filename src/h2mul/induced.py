@@ -16,8 +16,8 @@ import numpy as np
 
 from .dense import full_householder_qr, spectral_norm, truncated_svd
 from .errors import InvalidInputError
-from .h2 import (BasisProduct, ClusterBasis, H2Matrix, cluster_basis_product,
-                 nested_basis)
+from .h2 import (BasisProduct, ClusterBasis, H2Matrix, PackedBlocks,
+                 cluster_basis_product, nested_basis)
 from .trees import (KIND_A, KIND_B, BlockTree, build_product_block_tree,
                     same_cluster_tree)
 from .weights import TotalWeights, basis_weights, total_weights
@@ -185,12 +185,13 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
     """
     bx, by = x.block_tree, y.block_tree
     pt, terms = build_product_block_tree(bx, by)
-    t_rows, t_cols = bx.rows, by.cols
     vx, wy = x.row_basis, y.col_basis
     q_r, q_c = qrow.q, qcol.q
 
-    coupling: dict[int, np.ndarray] = {}
-    nearfield: dict[int, np.ndarray] = {}
+    coupling = PackedBlocks.zero_couplings(pt, q_r, q_c)
+    nearfield = PackedBlocks.zero_nearfield(pt)
+    near = nearfield.blocks
+    pending: dict[int, np.ndarray] = {}  # couplings of subdivided blocks
     # the column-side factors are the row-side ones of Y^T X^T
     xt, yt, pyx = x.transposed(), y.transposed(), pxy.transposed()
     xv = cache(partial(_xv_at_leaf, x, y, pxy))     # (t, s): X|ts V_{Y,s}
@@ -201,42 +202,42 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
     col_factor = partial(_projected_block, yt, pyx, qcol.basis_change,
                          qcol.block_projections)
 
-    def add(store, key, value):
-        if key in store:
-            store[key] = store[key] + value
-        else:
-            store[key] = value
-
     for node, ended in enumerate(terms):
+        if not ended:
+            continue
         t, r = pt.row[node], pt.col[node]
         dense_target = pt.is_inadmissible_leaf(node)
+        total = None
         for kind, s in ended:
             if kind == KIND_A:
                 s_y = y.coupling[by.index[(s, r)]]
                 if dense_target:
-                    add(nearfield, node,
-                        xv(t, s) @ s_y @ wy.leaf_matrix[r].T)
+                    part = xv(t, s) @ s_y @ wy.leaf_matrix[r].T
                 else:
-                    add(coupling, node,
-                        row_factor(t, s) @ s_y @ qcol.basis_change[r].T)
+                    part = row_factor(t, s) @ s_y @ qcol.basis_change[r].T
             elif kind == KIND_B:
                 s_x = x.coupling[bx.index[(t, s)]]
                 if dense_target:
-                    add(nearfield, node,
-                        vx.leaf_matrix[t] @ s_x @ wy_at(r, s).T)
+                    part = vx.leaf_matrix[t] @ s_x @ wy_at(r, s).T
                 else:
-                    add(coupling, node,
-                        qrow.basis_change[t] @ s_x @ col_factor(r, s).T)
+                    part = qrow.basis_change[t] @ s_x @ col_factor(r, s).T
             else:
-                add(nearfield, node,
-                    x.nearfield[bx.index[(t, s)]] @ y.nearfield[by.index[(s, r)]])
+                part = (x.nearfield[bx.index[(t, s)]]
+                        @ y.nearfield[by.index[(s, r)]])
+            total = part if total is None else total + part
+        if dense_target:
+            near[node][...] = total
+        elif pt.is_leaf(node):
+            coupling.blocks[node][...] = total
+        else:
+            pending[node] = total
     del terms, xv, wy_at  # free the triple lists and leaf products early
 
     # push couplings accumulated on subdivided blocks down to the leaves
     for node in range(pt.nblocks):
-        if pt.is_leaf(node) or node not in coupling:
+        if node not in pending:
             continue
-        s_tr = coupling.pop(node)
+        s_tr = pending.pop(node)
         t, r = pt.row[node], pt.col[node]
         for child in pt.children[node]:
             t2, r2 = pt.row[child], pt.col[child]
@@ -245,20 +246,14 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
             part = left @ s_tr if left is not None else s_tr
             part = part @ right.T if right is not None else part
             if pt.is_inadmissible_leaf(child):
-                add(nearfield, child,
-                    q_r.leaf_matrix[t2] @ part @ q_c.leaf_matrix[r2].T)
+                near[child][...] += (q_r.leaf_matrix[t2] @ part
+                                     @ q_c.leaf_matrix[r2].T)
+            elif pt.is_leaf(child):
+                coupling.blocks[child][...] += part
+            elif child in pending:
+                pending[child] = pending[child] + part
             else:
-                add(coupling, child, part)
-
-    for node in pt.admissible_leaves():
-        if node not in coupling:
-            coupling[node] = np.zeros((q_r.rank[pt.row[node]],
-                                       q_c.rank[pt.col[node]]))
-    for node in pt.inadmissible_leaves():
-        if node not in nearfield:
-            nearfield[node] = np.zeros((t_rows.size(pt.row[node]),
-                                        t_cols.size(pt.col[node])))
-
+                pending[child] = part
     return H2Matrix(pt, q_r, q_c, coupling, nearfield)
 
 

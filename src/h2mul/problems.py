@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .h2 import ClusterBasis, H2Matrix
+from .h2 import ClusterBasis, H2Matrix, PackedBlocks
 from .trees import BlockTree, ClusterTree, build_block_tree, build_cluster_tree
 
 __all__ = [
@@ -268,14 +268,17 @@ class _Interpolation:
 def _plain_basis(tree: ClusterTree, interp: _Interpolation,
                  weights: np.ndarray) -> ClusterBasis:
     rank = [interp.rank(t) for t in range(tree.nnodes)]
-    leaf, transfer = {}, {}
+    leaf, stacks = {}, {}
     for t in range(tree.nnodes):
-        if tree.is_leaf(t):
+        children = tree.children[t]
+        if children:
+            # the children's transfers: t's polynomials at their points
+            stacks[t] = interp.evaluate(
+                t, np.vstack([interp.points[c] for c in children]))
+        else:
             pts = tree.points[tree.start[t]:tree.stop[t]]
             leaf[t] = interp.evaluate(t, pts) * weights[tree.start[t]:tree.stop[t], None]
-        for c in tree.children[t]:
-            transfer[c] = interp.evaluate(t, interp.points[c])
-    return ClusterBasis(tree, rank, leaf, transfer)
+    return ClusterBasis.from_stacks(tree, rank, leaf, stacks)
 
 
 def _dlp_row_basis(plain: ClusterBasis, normals: np.ndarray) -> ClusterBasis:
@@ -312,20 +315,21 @@ def build_h2_by_interpolation(p: KernelProblem, tree: ClusterTree,
         row_basis = plain
     col_basis = plain
 
-    coupling = {}
-    nearfield = {}
+    coupling = PackedBlocks.zero_couplings(blocks, row_basis, col_basis)
+    nearfield = PackedBlocks.zero_nearfield(blocks)
     for b in range(blocks.nblocks):
         t, s = blocks.row[b], blocks.col[b]
         if blocks.is_admissible_leaf(b):
             xi, xj = interp.points[t], interp.points[s]
             if p.kernel == "double-layer":
                 comps = _dlp_components(xi, xj)
-                coupling[b] = np.vstack([comps[:, :, c] for c in range(3)])
+                coupling.blocks[b][...] = np.vstack([comps[:, :, c]
+                                                     for c in range(3)])
             else:
-                coupling[b] = _kernel_values(p.kernel, xi, xj)
+                coupling.blocks[b][...] = _kernel_values(p.kernel, xi, xj)
         elif blocks.is_inadmissible_leaf(b):
             sl_t, sl_s = tree.index_range(t), tree.index_range(s)
-            nearfield[b] = kernel_matrix(
+            nearfield.blocks[b][...] = kernel_matrix(
                 p.kernel, tree.points[sl_t], w[sl_t], tree.points[sl_s],
                 w[sl_s], normals[sl_t] if normals is not None else None)
     return H2Matrix(blocks, row_basis, col_basis, coupling, nearfield)

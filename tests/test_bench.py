@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ class TestErrorEstimate:
         rng = np.random.default_rng(1)
         x, y = random_h2_pair(rng, n=24, leaf_size=4)
         zero = dense_as_h2(multiply(x, y, 0.0))
-        zero.nearfield[0] = np.zeros_like(zero.nearfield[0])
+        zero.nearfield[0][...] = 0.0
         est = estimate_relative_spectral_error(x, y, zero, steps=20)
         assert abs(est - 1.0) <= 0.05
 
@@ -61,12 +62,38 @@ class TestErrorEstimate:
         assert est <= 2.0 * truth + 1e-14
         assert est >= truth / 2.0
 
+    def test_calls_matvec_and_adjoint(self, monkeypatch):
+        # the traced benchmark reports per-call times of both functions
+        import h2mul
+        from h2mul import h2
+        calls = {"h2_matvec": 0, "h2_matvec_adjoint": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        originals = {name: getattr(h2, name) for name in calls}
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is None or not mod_name.startswith("h2mul"):
+                continue
+            for attr, value in list(vars(mod).items()):
+                for name, fn in originals.items():
+                    if value is fn:
+                        monkeypatch.setattr(mod, attr, counted(name, fn))
+        rng = np.random.default_rng(4)
+        x, y = random_h2_pair(rng, n=24, leaf_size=4)
+        h2mul.bench.estimate_relative_spectral_error(
+            x, y, multiply(x, y, 1e-2), steps=3)
+        assert calls["h2_matvec"] > 0 and calls["h2_matvec_adjoint"] > 0
+
     def test_zero_product_and_zero_g(self):
         rng = np.random.default_rng(3)
         x, y = random_h2_pair(rng, n=16, leaf_size=4)
         for store in (x.coupling, x.nearfield):
             for b in store:
-                store[b] = np.zeros_like(store[b])
+                store[b][...] = 0.0
         g = multiply(x, y, 0.0)
         assert estimate_relative_spectral_error(x, y, g, steps=5) == 0.0
 

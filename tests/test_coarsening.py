@@ -221,7 +221,7 @@ class TestProjectFinal:
         x, y = random_h2_pair(rng, n=32, leaf_size=4)
         for store in (x.coupling, x.nearfield):
             for b in store:
-                store[b] = np.zeros_like(store[b])
+                store[b][...] = 0.0
         g = multiply(x, y, 0.0)
         coarse = build_block_tree(g.block_tree.rows, g.block_tree.cols, 1.0)
         out = coarsen(g, coarse, 1e-6)

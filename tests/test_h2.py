@@ -1,11 +1,14 @@
+import weakref
+
 import numpy as np
 import pytest
 
-from h2mul import (ClusterBasis, H2Matrix, InvalidInputError,
-                   build_block_tree, build_cluster_tree,
+from h2mul import (ClusterBasis, H2Matrix, InvalidInputError, KernelProblem,
+                   build_block_tree, build_cluster_tree, build_problem,
                    cluster_basis_product, expand_basis, h2_matvec,
                    h2_matvec_adjoint, matvec_cost, nested_basis,
-                   orthogonalize_basis, to_dense)
+                   orthogonalize_basis, orthogonalized, recompress,
+                   storage_bytes, to_dense)
 from util import (random_basis, random_cluster_tree, random_h2,
                   random_h2_pair)
 
@@ -61,9 +64,9 @@ class TestMatvec:
         rng = np.random.default_rng(2)
         x, _ = random_h2_pair(rng, n=24)
         for b in x.coupling:
-            x.coupling[b] = np.zeros_like(x.coupling[b])
+            x.coupling[b][...] = 0.0
         for b in x.nearfield:
-            x.nearfield[b] = np.zeros_like(x.nearfield[b])
+            x.nearfield[b][...] = 0.0
         v = rng.standard_normal(x.shape[1])
         y = rng.standard_normal(x.shape[0])
         out = h2_matvec(x, v, y.copy())
@@ -135,6 +138,198 @@ class TestMatvec:
             costs.append(matvec_cost(g) / n)
         assert costs[2] <= 1.3 * costs[1]
         assert costs[1] <= 1.3 * costs[0]
+
+
+def mixed_rank_h2(rng, rows, cols, eta=1.0, max_rank=3):
+    """Random H^2-matrix whose ranks vary per cluster, zero included."""
+    def basis(tree):
+        rank = rng.integers(0, max_rank + 1, tree.nnodes)
+        leaf = {t: rng.standard_normal((tree.size(t), rank[t]))
+                for t in tree.leaves()}
+        transfer = {c: rng.standard_normal((rank[c], rank[t]))
+                    for t in range(tree.nnodes) for c in tree.children[t]}
+        return ClusterBasis(tree, rank, leaf, transfer)
+
+    bt = build_block_tree(rows, cols, eta)
+    rb, cb = basis(rows), basis(cols)
+    coupling = {b: rng.standard_normal((rb.rank[bt.row[b]],
+                                        cb.rank[bt.col[b]]))
+                for b in bt.admissible_leaves()}
+    nearfield = {b: rng.standard_normal((rows.size(bt.row[b]),
+                                         cols.size(bt.col[b])))
+                 for b in bt.inadmissible_leaves()}
+    return H2Matrix(bt, rb, cb, coupling, nearfield)
+
+
+def degenerate_instance(case):
+    rng = np.random.default_rng(40)
+    line = build_cluster_tree(np.linspace(0.0, 1.0, 24), 3)
+    if case == "rank-zero":
+        g = random_h2(rng, line, line, eta=1.0, rank=0)
+        assert g.coupling and all(m.size == 0 for m in g.coupling.values())
+    elif case == "mixed-ranks":
+        g = mixed_rank_h2(rng, line, line)
+        assert 0 in g.row_basis.rank and max(g.row_basis.rank) > 0
+    elif case == "no-admissible":
+        g = random_h2(rng, line, line, eta=1e-9)
+        assert not g.coupling
+    elif case == "empty-nearfield":
+        left = build_cluster_tree(np.linspace(0.0, 1.0, 8), 2)
+        right = build_cluster_tree(np.linspace(10.0, 11.0, 8), 2)
+        g = random_h2(rng, left, right, eta=1.0)
+        assert g.coupling and not g.nearfield
+    elif case == "uneven-depths":
+        tree = build_cluster_tree(rng.uniform(0.0, 1.0, 11) ** 3, 2)
+        depths = {0: 0}
+        for t in range(tree.nnodes):
+            for c in tree.children[t]:
+                depths[c] = depths[t] + 1
+        assert len({depths[t] for t in tree.leaves()}) > 1
+        g = mixed_rank_h2(rng, tree, tree)
+    else:  # rectangular, distinct cluster trees on both sides
+        rows = build_cluster_tree(rng.uniform(0.0, 1.0, (30, 2)), 4)
+        cols = build_cluster_tree(rng.uniform(0.5, 2.0, (17, 2)), 3)
+        g = mixed_rank_h2(rng, rows, cols, eta=1.0)
+        assert g.shape == (30, 17) and g.coupling and g.nearfield
+    return g
+
+
+DEGENERATE = ["rank-zero", "mixed-ranks", "no-admissible", "empty-nearfield",
+              "uneven-depths", "rectangular"]
+
+
+class TestPackedMatvec:
+    """The packed matvec and adjoint against the dense oracle."""
+
+    @pytest.mark.parametrize("case", DEGENERATE)
+    def test_forward_and_adjoint(self, case):
+        g = degenerate_instance(case)
+        g.validate()
+        dense = to_dense(g)
+        rng = np.random.default_rng(41)
+        v = rng.standard_normal(g.shape[1])
+        w = rng.standard_normal(g.shape[0])
+        tol = 1e-12 * max(np.linalg.norm(dense, 2), 1.0)
+        fwd = h2_matvec(g, v) - dense @ v
+        adj = h2_matvec_adjoint(g, w) - dense.T @ w
+        assert np.linalg.norm(fwd) <= tol * np.linalg.norm(v)
+        assert np.linalg.norm(adj) <= tol * np.linalg.norm(w)
+
+    @pytest.mark.parametrize("case", DEGENERATE)
+    def test_accumulates_in_place(self, case):
+        g = degenerate_instance(case)
+        dense = to_dense(g)
+        rng = np.random.default_rng(42)
+        v = rng.standard_normal(g.shape[1])
+        w = rng.standard_normal(g.shape[0])
+        y0 = rng.standard_normal(g.shape[0])
+        x0 = rng.standard_normal(g.shape[1])
+        y, x = y0.copy(), x0.copy()
+        assert h2_matvec(g, v, y, alpha=-1.5) is y
+        assert h2_matvec_adjoint(g, w, x, alpha=0.25) is x
+        assert np.allclose(y, y0 - 1.5 * (dense @ v), atol=1e-12)
+        assert np.allclose(x, x0 + 0.25 * (dense.T @ w), atol=1e-12)
+
+    @pytest.mark.parametrize("case", DEGENERATE)
+    def test_double_transpose(self, case):
+        g = degenerate_instance(case)
+        gtt = g.transposed().transposed()
+        assert gtt.shape == g.shape
+        v = np.random.default_rng(43).standard_normal(g.shape[1])
+        assert np.allclose(h2_matvec(gtt, v), to_dense(g) @ v, atol=1e-12)
+        assert np.allclose(to_dense(gtt), to_dense(g), atol=1e-13)
+
+
+class TestPackedStorage:
+    def test_blocks_are_views_of_one_packed_array(self):
+        rng = np.random.default_rng(44)
+        tree = random_cluster_tree(rng, 64, 4)
+        bt = build_block_tree(tree, tree, 1.0)
+        coupling = {b: rng.standard_normal((3, 3))
+                    for b in bt.admissible_leaves()}
+        nearfield = {b: rng.standard_normal((tree.size(bt.row[b]),
+                                             tree.size(bt.col[b])))
+                     for b in bt.inadmissible_leaves()}
+        basis = random_basis(rng, tree, 3)
+        expected = 2 * basis.storage_bytes() + sum(
+            m.nbytes for m in [*coupling.values(), *nearfield.values()])
+        g = H2Matrix(bt, basis, basis, coupling, nearfield)
+        assert storage_bytes(g) == expected
+        gt = g.transposed()
+        assert gt.packed_coupling.rows is g.packed_coupling.rows
+        for given, store, packed, store_t in (
+                (coupling, g.coupling, g.packed_coupling, gt.coupling),
+                (nearfield, g.nearfield, g.packed_nearfield, gt.nearfield)):
+            # one array per block column of g, a block row of g^T
+            arrays = [m for _, m, _ in packed.rows]
+            assert all(m.flags.f_contiguous and m.dtype == np.float64
+                       for m in arrays)
+            assert len(arrays) == len({bt.col[b] for b in store})
+            for b, m in store.items():
+                assert np.array_equal(m, given[b])
+                assert m.flags.c_contiguous and store_t[b].flags.f_contiguous
+                owners = [a for a in arrays if np.shares_memory(m, a)]
+                assert len(owners) == 1
+        for t, stack in basis.transfer_stack.items():
+            for c in tree.children[t]:
+                assert np.shares_memory(basis.transfer[c], stack)
+
+    def test_transpose_shares_and_does_not_refer_back(self):
+        rng = np.random.default_rng(45)
+        x, _ = random_h2_pair(rng, n=40)
+        dense = to_dense(x)
+        xt = x.transposed()
+        for b, m in x.coupling.items():
+            assert np.shares_memory(xt.coupling[b], m)
+        for b, m in x.nearfield.items():
+            assert np.shares_memory(xt.nearfield[b], m)
+        assert xt.packed_coupling.rows is x.packed_coupling.rows
+        ref = weakref.ref(x)
+        del x
+        assert ref() is None
+        v = rng.standard_normal(xt.shape[1])
+        assert np.allclose(h2_matvec(xt, v), dense.T @ v, atol=1e-12)
+
+    def test_mappings_are_read_only(self):
+        rng = np.random.default_rng(46)
+        x, _ = random_h2_pair(rng, n=24)
+        b = next(iter(x.coupling))
+        nb = next(iter(x.nearfield))
+        leaf = x.row_basis.tree.leaves()[0]
+        c = x.row_basis.tree.children[0][0]
+        for store, key in ((x.coupling, b), (x.nearfield, nb),
+                           (x.row_basis.transfer, c),
+                           (x.row_basis.leaf_matrix, leaf),
+                           (x.transposed().coupling, b)):
+            with pytest.raises(TypeError):
+                store[key] = np.zeros((1, 1))
+
+    def test_recompress_shares_the_input_nearfield(self):
+        inst = build_problem(KernelProblem.log_1d(64, order=3), eta=2.0)
+        g = inst.h2
+        r = recompress(g, 1e-6)
+        assert r.packed_nearfield is g.packed_nearfield
+        for b, m in g.nearfield.items():
+            assert np.shares_memory(r.nearfield[b], m)
+        assert orthogonalized(g).packed_nearfield is g.packed_nearfield
+
+    def test_foreign_packed_blocks_rejected(self):
+        rng = np.random.default_rng(47)
+        x, y = random_h2_pair(rng, n=24)
+        with pytest.raises(InvalidInputError):
+            H2Matrix(y.block_tree, y.row_basis, y.col_basis, y.coupling,
+                     x.packed_nearfield)
+
+    def test_mismatched_widths_in_a_block_column_rejected(self):
+        rng = np.random.default_rng(48)
+        x, _ = random_h2_pair(rng, n=24)
+        bt = x.block_tree
+        b1, b2 = [b for b in x.nearfield
+                  if bt.col[b] == bt.col[next(iter(x.nearfield))]][:2]
+        rows, cols = x.nearfield[b2].shape[0], x.nearfield[b1].shape[1]
+        nearfield = {**x.nearfield, b2: np.zeros((rows, cols + 1))}
+        with pytest.raises(InvalidInputError):
+            H2Matrix(bt, x.row_basis, x.col_basis, x.coupling, nearfield)
 
 
 class TestToDense:
@@ -294,7 +489,7 @@ class TestSerialization:
         tree_l = build_cluster_tree(np.linspace(0, 1, 6), 2)
         tree_r = build_cluster_tree(np.linspace(10, 11, 6), 2)
         g = random_h2(rng, tree_l, tree_r, eta=1.0)
-        g.coupling.clear()
+        g = H2Matrix(g.block_tree, g.row_basis, g.col_basis, {}, g.nearfield)
         with pytest.raises(InvalidInputError):
             g.validate()
 
@@ -302,7 +497,11 @@ class TestSerialization:
         rng = np.random.default_rng(21)
         x, _ = random_h2_pair(rng, n=20)
         leaf = x.block_tree.rows.leaves()[0]
-        x.row_basis.leaf_matrix[leaf] = x.row_basis.leaf_matrix[leaf][:-1]
+        rb = x.row_basis
+        leaves = {**rb.leaf_matrix, leaf: rb.leaf_matrix[leaf][:-1]}
+        x = H2Matrix(x.block_tree,
+                     ClusterBasis(rb.tree, rb.rank, leaves, rb.transfer),
+                     x.col_basis, x.coupling, x.nearfield)
         with pytest.raises(InvalidInputError):
             x.validate()
 
@@ -310,8 +509,12 @@ class TestSerialization:
         rng = np.random.default_rng(22)
         x, _ = random_h2_pair(rng, n=20)
         c = x.block_tree.cols.children[0][0]
-        x.col_basis.transfer[c] = np.vstack([x.col_basis.transfer[c],
-                                             np.zeros((1, x.col_basis.rank[0]))])
+        cb = x.col_basis
+        transfer = {**cb.transfer, c: np.vstack([cb.transfer[c],
+                                                 np.zeros((1, cb.rank[0]))])}
+        x = H2Matrix(x.block_tree, x.row_basis,
+                     ClusterBasis(cb.tree, cb.rank, cb.leaf_matrix, transfer),
+                     x.coupling, x.nearfield)
         with pytest.raises(InvalidInputError):
             x.validate()
 

@@ -87,9 +87,9 @@ class TestTotalWeights:
         y = random_h2(rng, left, right, eta=1.0, rank=3)
         assert y.block_tree.is_admissible_leaf(0)
         qcol, rmap = orthogonalize_basis(y.col_basis)
-        y.coupling[0] = y.coupling[0] @ rmap[y.block_tree.col[0]].T
         y = h2mul.H2Matrix(y.block_tree, y.row_basis, qcol,
-                           y.coupling, y.nearfield)
+                           {0: y.coupling[0] @ rmap[y.block_tree.col[0]].T},
+                           y.nearfield)
         tw = total_weights(y, basis_weights(qcol), scaling=False)
         sv_z = np.linalg.svd(tw.z[0], compute_uv=False)
         sv_s = np.linalg.svd(y.coupling[0], compute_uv=False)
@@ -147,7 +147,7 @@ class TestTotalWeights:
         rng = np.random.default_rng(7)
         x, y = random_h2_pair(rng, n=32, leaf_size=4)
         for b in y.block_tree.admissible_leaves():
-            y.coupling[b] = np.zeros_like(y.coupling[b])
+            y.coupling[b][...] = 0.0
         tw = total_weights(y, basis_weights(y.col_basis), scaling=True)
         for s, z in tw.z.items():
             assert np.allclose(z, 0.0)
