@@ -11,15 +11,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, partial
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
-from .dense import full_householder_qr, spectral_norm, truncated_svd
+from .dense import full_householder_qr, spectral_norms, truncated_svd
 from .errors import InvalidInputError
 from .h2 import (BasisProduct, ClusterBasis, H2Matrix, PackedBlocks,
                  cluster_basis_product, nested_basis)
-from .trees import (KIND_A, KIND_B, BlockTree, build_product_block_tree,
-                    same_cluster_tree)
+from .trees import (KIND_A, KIND_B, KIND_C, BlockTree,
+                    build_product_block_tree, same_cluster_tree)
 from .weights import TotalWeights, basis_weights, total_weights
 
 __all__ = [
@@ -131,11 +133,9 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
             blocks = [_xv_at_leaf(x, y, pxy, t, s) for s in middles]
         else:
             blocks = [ahat(t, s, vx_t.shape[0]) for s in middles]
-        weighted = []
-        for s, blk in zip(middles, blocks):
-            nrm = spectral_norm(blk)
-            if nrm > 0.0:
-                weighted.append(blk @ zy.z[s].T / nrm)
+        weighted = [blk @ zy.z[s].T / nrm for s, blk, nrm
+                    in zip(middles, blocks, spectral_norms(blocks))
+                    if nrm > 0.0]
         stacked = np.hstack(weighted) if weighted \
             else np.zeros((vx_t.shape[0], 0))
         q_full, r_fac = full_householder_qr(vx_t)
@@ -169,69 +169,110 @@ def compress_induced_col_basis(x: H2Matrix, y: H2Matrix,
                                       **kwargs)
 
 
+def _gemm(left, right) -> np.ndarray:
+    """[L_1 L_2 ...] @ [M_1; M_2; ...] in one product."""
+    if len(left) == 1:
+        return left[0] @ right[0]
+    return np.concatenate(left, axis=1) @ np.concatenate(right, axis=0)
+
+
+def _folded_terms(x: H2Matrix, y: H2Matrix, pxy: BasisProduct,
+                  qrow: InducedBasisResult, qcol: InducedBasisResult,
+                  pt: BlockTree, nodes: np.ndarray, mids: np.ndarray):
+    """Sums of the kind-A terms X|ts Y|sr, (s, r) admissible in Y, per
+    product block: yields ``(block, sum)`` for the blocks in ``nodes``.
+
+    The outer basis change is folded into Y's coupling once per coupling
+    block, M_s = S_Y(s, r) R_r^T with R_r = Q_r^T W_{Y,r} (W_{Y,r} itself
+    at a dense target), so each block costs one GEMM over the
+    concatenated middles, [L_s1 L_s2 ...] @ [M_s1; M_s2; ...], with
+    L_s = Q_t^T X|ts V_{Y,s} (X|ts V_{Y,s} at a dense target).  Where
+    (t, s) is admissible in X too, L_s = Q_t^T V_{X,t} S_X(t, s) and
+    P_s = W_{X,s}^T V_{Y,s} moves into M_s.  The terms run grouped by
+    product column r, and a column's folded couplings live only while
+    its group runs.
+    """
+    bx, by = x.block_tree, y.block_tree
+    xv = cache(partial(_xv_at_leaf, x, y, pxy))  # (t, s): X|ts V_{Y,s}
+    order = np.argsort(np.asarray(pt.col)[nodes], kind="stable")
+    ordered = zip(nodes[order].tolist(), mids[order].tolist())
+    for r, column in groupby(ordered, key=lambda term: pt.col[term[0]]):
+        folded: dict[tuple[int, bool, bool], np.ndarray] = {}
+        for node, terms in groupby(column, key=itemgetter(0)):
+            t, dense = pt.row[node], pt.is_inadmissible_leaf(node)
+            left, right = [], []
+            for _, s in terms:
+                factor = (xv(t, s) if dense
+                          else qrow.block_projections.get((t, s)))
+                admissible = factor is None  # (t, s) admissible in X too
+                m = folded.get((s, dense, admissible))
+                if m is None:
+                    outer = (y.col_basis.leaf_matrix[r] if dense
+                             else qcol.basis_change[r])
+                    m = y.coupling[by.index[s, r]] @ outer.T
+                    if admissible:  # P_s moves into m
+                        m = pxy.p[s] @ m
+                    folded[s, dense, admissible] = m
+                if admissible:
+                    factor = (qrow.basis_change[t]
+                              @ x.coupling[bx.index[t, s]])
+                left.append(factor)
+                right.append(m)
+            yield node, _gemm(left, right)
+
+
 def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
                      qcol: InducedBasisResult, pxy: BasisProduct) -> H2Matrix:
     """H^2-matrix X @ Y over the product block tree in the induced bases.
 
-    ``build_product_block_tree`` lists, per product block, the middles s
-    whose triple (t, s, r) terminates there: (s, r) admissible (kind A,
-    which also takes the doubly admissible case), (t, s) admissible
-    (kind B), or both factors dense (kind C).  Each adds a coupling
-    contribution to its block, or a nearfield one if the block is a
-    dense leaf.  Couplings that accumulate on subdivided product blocks
-    are pushed down through the transfer matrices afterwards, which is
-    exact.  Contributions to dense product blocks are evaluated exactly,
-    without projecting onto the compressed bases.
+    ``build_product_block_tree`` lists, per kind, the middles s whose
+    triple (t, s, r) terminates at each product block: (s, r) admissible
+    (kind A, which also takes the doubly admissible case), (t, s)
+    admissible (kind B), or both factors dense (kind C).  Each block and
+    kind costs one GEMM over its concatenated middles, added to the
+    block's coupling, or to its nearfield if it is a dense leaf.  Kind B
+    is kind A of Y^T X^T (``_folded_terms``), kind C the product of the
+    side-by-side X|ts by the stacked Y|sr.  Couplings that accumulate on
+    subdivided product blocks are pushed down through the transfer
+    matrices afterwards, which is exact.  Contributions to dense product
+    blocks are evaluated exactly, without projecting onto the compressed
+    bases.
     """
     bx, by = x.block_tree, y.block_tree
     pt, terms = build_product_block_tree(bx, by)
-    vx, wy = x.row_basis, y.col_basis
     q_r, q_c = qrow.q, qcol.q
 
     coupling = PackedBlocks.zero_couplings(pt, q_r, q_c)
     nearfield = PackedBlocks.zero_nearfield(pt)
     near = nearfield.blocks
     pending: dict[int, np.ndarray] = {}  # couplings of subdivided blocks
-    # the column-side factors are the row-side ones of Y^T X^T
-    xt, yt, pyx = x.transposed(), y.transposed(), pxy.transposed()
-    xv = cache(partial(_xv_at_leaf, x, y, pxy))     # (t, s): X|ts V_{Y,s}
-    wy_at = cache(partial(_xv_at_leaf, yt, xt, pyx))  # (r, s): Y|sr^T W_{X,s}
-    # (t, s): Q_t^T X|ts V_{Y,s} and (r, s): Q_r^T Y|sr^T W_{X,s}
-    row_factor = partial(_projected_block, x, pxy, qrow.basis_change,
-                         qrow.block_projections)
-    col_factor = partial(_projected_block, yt, pyx, qcol.basis_change,
-                         qcol.block_projections)
 
-    for node, ended in enumerate(terms):
-        if not ended:
-            continue
-        t, r = pt.row[node], pt.col[node]
-        dense_target = pt.is_inadmissible_leaf(node)
-        total = None
-        for kind, s in ended:
-            if kind == KIND_A:
-                s_y = y.coupling[by.index[(s, r)]]
-                if dense_target:
-                    part = xv(t, s) @ s_y @ wy.leaf_matrix[r].T
-                else:
-                    part = row_factor(t, s) @ s_y @ qcol.basis_change[r].T
-            elif kind == KIND_B:
-                s_x = x.coupling[bx.index[(t, s)]]
-                if dense_target:
-                    part = vx.leaf_matrix[t] @ s_x @ wy_at(r, s).T
-                else:
-                    part = qrow.basis_change[t] @ s_x @ col_factor(r, s).T
-            else:
-                part = (x.nearfield[bx.index[(t, s)]]
-                        @ y.nearfield[by.index[(s, r)]])
-            total = part if total is None else total + part
-        if dense_target:
-            near[node][...] = total
-        elif pt.is_leaf(node):
-            coupling.blocks[node][...] = total
+    def add(node, part):
+        if pt.is_leaf(node):
+            target = (near[node] if pt.is_inadmissible_leaf(node)
+                      else coupling.blocks[node])
+            target += part
+        elif node in pending:
+            pending[node] += part
         else:
-            pending[node] = total
-    del terms, xv, wy_at  # free the triple lists and leaf products early
+            pending[node] = part
+
+    for node, part in _folded_terms(x, y, pxy, qrow, qcol, pt,
+                                    *terms[KIND_A]):
+        add(node, part)
+    # kind B is kind A of the transposed product Y^T X^T
+    for node, part in _folded_terms(y.transposed(), x.transposed(),
+                                    pxy.transposed(), qcol, qrow,
+                                    pt.transposed(), *terms[KIND_B]):
+        add(node, part.T)
+    blocks, mids = terms[KIND_C]
+    for node, group in groupby(zip(blocks.tolist(), mids.tolist()),
+                               key=itemgetter(0)):
+        t, r = pt.row[node], pt.col[node]
+        middles = [s for _, s in group]
+        add(node, _gemm([x.nearfield[bx.index[t, s]] for s in middles],
+                        [y.nearfield[by.index[s, r]] for s in middles]))
+    del terms, blocks, mids  # free the term arrays early
 
     # push couplings accumulated on subdivided blocks down to the leaves
     for node in range(pt.nblocks):

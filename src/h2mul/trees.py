@@ -12,7 +12,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidInputError, StructureError
+from .errors import InvalidInputError
 
 __all__ = [
     "ClusterTree",
@@ -25,7 +25,6 @@ __all__ = [
     "box_distance",
     "build_block_tree",
     "build_product_block_tree",
-    "classify_triple",
     "same_cluster_tree",
     "sparsity_constant",
     "refinement_counts",
@@ -253,41 +252,16 @@ def build_block_tree(rows: ClusterTree, cols: ClusterTree,
     return BlockTree(rows, cols, row, col, children, adm)
 
 
-# Triple classification for the product recursion.  For a middle cluster
-# s between blocks (t, s) and (s, r), the product contribution
-# X|ts * Y|sr terminates as soon as one factor is available in factorized
-# or dense form:
-#   "a"  (s, r) is an admissible leaf        -> low-rank via Y's bases
-#   "b"  (t, s) is an admissible leaf        -> low-rank via X's bases
-#   "c"  both are inadmissible (dense) leaves -> dense product, t,s,r leaves
-#   "n"  neither applies                      -> the recursion must descend
-KIND_A, KIND_B, KIND_C, KIND_N = "a", "b", "c", "n"
-
-
-def classify_triple(bx: BlockTree, by: BlockTree, t: int, s: int, r: int) -> str:
-    bts = bx.index.get((t, s))
-    bsr = by.index.get((s, r))
-    if bts is None or bsr is None:
-        raise StructureError(f"triple ({t}, {s}, {r}) not covered by the "
-                             "factor block trees")
-    if by.is_admissible_leaf(bsr):
-        return KIND_A
-    if bx.is_admissible_leaf(bts):
-        return KIND_B
-    if bx.is_leaf(bts) and by.is_leaf(bsr):
-        return KIND_C
-    return KIND_N
-
-
-def _sub_middles(bx: BlockTree, by: BlockTree, middle_tree: ClusterTree,
-                 t: int, s: int, r: int):
-    """Middle clusters a non-terminal middle s contributes to every child."""
-    bts = bx.index[(t, s)]
-    bsr = by.index[(s, r)]
-    if (not bx.is_leaf(bts) and not by.is_leaf(bsr)
-            and middle_tree.children[s]):
-        return middle_tree.children[s]
-    return (s,)
+# Kinds of the terminating product triples, the indices into the
+# ``terms`` of ``build_product_block_tree``.  For a middle cluster s
+# between blocks (t, s) and (s, r), the product contribution
+# X|ts * Y|sr terminates as soon as one factor is available in
+# factorized or dense form:
+#   KIND_A  (s, r) is an admissible leaf        -> low-rank via Y's bases
+#   KIND_B  (t, s) is an admissible leaf        -> low-rank via X's bases
+#   KIND_C  both are inadmissible (dense) leaves -> dense product, t,s,r leaves
+# Otherwise the recursion descends.
+KIND_A, KIND_B, KIND_C = 0, 1, 2
 
 
 def build_product_block_tree(bx: BlockTree, by: BlockTree):
@@ -299,13 +273,20 @@ def build_product_block_tree(bx: BlockTree, by: BlockTree):
     subdivide (remaining middles are chased through the middle tree
     alone).  A leaf is inadmissible exactly when some middle terminates
     with a dense-times-dense product there.  Returns ``(tree, terms)``
-    where ``terms[b]`` lists the ``(kind, s)`` of every middle s that
-    terminates at block b, kind being KIND_A, KIND_B or KIND_C.
+    where ``terms[kind]`` is a pair ``(block, s)`` of intp arrays, sorted
+    by block, listing every middle s that terminates at a block with
+    that kind (KIND_A, KIND_B or KIND_C).
     """
     if not same_cluster_tree(bx.cols, by.rows):
         raise InvalidInputError("factors do not share the middle cluster tree")
     rows, cols, mid = bx.rows, by.cols, bx.cols
-    row, col, children, adm, terms = [], [], [], [], []
+    xi, yi = bx.index, by.index
+    xleaf = [not c for c in bx.children]
+    yleaf = [not c for c in by.children]
+    xadm = [a and leaf for a, leaf in zip(bx.admissible, xleaf)]
+    yadm = [a and leaf for a, leaf in zip(by.admissible, yleaf)]
+    row, col, children, adm = [], [], [], []
+    ended = ([], []), ([], []), ([], [])  # per kind: blocks, middles
 
     def rec(t, r, middles):
         b = len(row)
@@ -313,34 +294,37 @@ def build_product_block_tree(bx: BlockTree, by: BlockTree):
         col.append(r)
         children.append(())
         adm.append(True)
-        ended = []
-        terms.append(ended)
+        leaves = rows.is_leaf(t) and cols.is_leaf(r)
         nonterminal = []
         stack = list(middles)
         while stack:
             s = stack.pop()
-            kind = classify_triple(bx, by, t, s, r)
-            if kind != KIND_N:
-                ended.append((kind, s))
-            elif rows.is_leaf(t) and cols.is_leaf(r):
-                # both clusters exhausted: chase the middle only
+            bts, bsr = xi[t, s], yi[s, r]
+            if yadm[bsr]:
+                kind = KIND_A
+            elif xadm[bts]:
+                kind = KIND_B
+            elif xleaf[bts] and yleaf[bsr]:
+                kind = KIND_C
+                adm[b] = False  # a dense product ends here
+            elif leaves:  # both clusters exhausted: chase the middle only
                 stack.extend(mid.children[s])
-            else:
-                nonterminal.append(s)
+                continue
+            else:  # descend; s splits too unless one of its blocks is a leaf
+                nonterminal.extend((s,) if xleaf[bts] or yleaf[bsr]
+                                   else mid.children[s] or (s,))
+                continue
+            ended[kind][0].append(b)
+            ended[kind][1].append(s)
         if nonterminal:
-            subs = []
-            for s in nonterminal:
-                subs.extend(_sub_middles(bx, by, mid, t, s, r))
-            children[b] = tuple(rec(t2, r2, subs) for t2, r2
+            children[b] = tuple(rec(t2, r2, nonterminal) for t2, r2
                                 in _block_children_pairs(rows, cols, t, r))
-        elif any(kind == KIND_C for kind, _ in ended):
-            adm[b] = False
         return b
 
     rec(rows.root, cols.root, [mid.root])
-    # rec references itself; dropping it lets the caller free ``terms``
-    # by dropping its own reference, not at a later gc collection
-    del rec
+    del rec  # rec references itself: free it now, not at a gc collection
+    terms = tuple((np.array(b, np.intp), np.array(s, np.intp))
+                  for b, s in ended)
     return BlockTree(rows, cols, row, col, children, adm), terms
 
 

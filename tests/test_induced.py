@@ -6,7 +6,8 @@ from h2mul import (InvalidInputError, KernelProblem, assemble_product,
                    build_product_block_tree, cluster_basis_product, coarsen,
                    compress_induced_col_basis, compress_induced_row_basis,
                    expand_basis, multiply, to_dense, total_weights)
-from util import random_h2, random_h2_pair, rel_spectral
+from h2mul.trees import KIND_A, KIND_B, KIND_C
+from util import random_h2, random_h2_pair, rel_spectral, unbalanced_pair
 
 
 def phase1_inputs(x, y, scaling=True):
@@ -191,7 +192,59 @@ class TestInducedColBasis:
         assert row.q.rank == col.q.rank
 
 
+def per_term_product(x, y, qrow, qcol, pxy):
+    """Dense X @ Y as assembled in the induced bases, one terminating
+    triple at a time: X|ts Y|sr exactly at a dense product block, else
+    the triple's coupling, a chain of small products, expanded through
+    the bases."""
+    bx, by = x.block_tree, y.block_tree
+    pt, terms = build_product_block_tree(bx, by)
+    rows, mid, cols = pt.rows, bx.cols, pt.cols
+    dx, dy = to_dense(x), to_dense(y)
+    out = np.zeros((dx.shape[0], dy.shape[1]))
+    for kind in (KIND_A, KIND_B, KIND_C):
+        for b, s in zip(*(a.tolist() for a in terms[kind])):
+            t, r = pt.row[b], pt.col[b]
+            i, j, k = (rows.index_range(t), mid.index_range(s),
+                       cols.index_range(r))
+            if pt.is_inadmissible_leaf(b):
+                out[i, k] += dx[i, j] @ dy[j, k]
+                continue
+            assert kind != KIND_C
+            if kind == KIND_A:  # (s, r) admissible: Y|sr = V_s S_y W_r^T
+                left = qrow.block_projections.get((t, s))
+                if left is None:  # (t, s) admissible too
+                    left = (qrow.basis_change[t] @ x.coupling[bx.index[t, s]]
+                            @ pxy.p[s])
+                part = (left @ y.coupling[by.index[s, r]]
+                        @ qcol.basis_change[r].T)
+            else:  # (t, s) admissible: X|ts = V_t S_x W_s^T
+                part = (qrow.basis_change[t] @ x.coupling[bx.index[t, s]]
+                        @ qcol.block_projections[(r, s)].T)
+            out[i, k] += (expand_basis(qrow.q, t) @ part
+                          @ expand_basis(qcol.q, r).T)
+    return out
+
+
 class TestAssembleProduct:
+    @pytest.mark.parametrize("case", ["log-1d", "unbalanced", "dense-only"])
+    def test_matches_per_term_reference(self, case):
+        if case == "log-1d":
+            x = y = build_problem(KernelProblem.log_1d(256), eta=2.0).h2
+        elif case == "unbalanced":
+            x, y = unbalanced_pair()
+        else:  # no admissible block: every term is dense times dense
+            x, y = random_h2_pair(np.random.default_rng(77), n=32,
+                                  leaf_size=4, eta=1e-9)
+            _, terms = build_product_block_tree(x.block_tree, y.block_tree)
+            assert not terms[KIND_A][0].size and not terms[KIND_B][0].size
+        pxy, zy, zxt = phase1_inputs(x, y)
+        qrow = compress_induced_row_basis(x, y, zy, pxy, 1e-4)
+        qcol = compress_induced_col_basis(x, y, zxt, pxy, 1e-4)
+        got = to_dense(assemble_product(x, y, qrow, qcol, pxy))
+        ref = per_term_product(x, y, qrow, qcol, pxy)
+        assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
     @pytest.mark.parametrize("seed", range(8))
     def test_exact_product_at_zero_tolerance(self, seed):
         rng = np.random.default_rng(seed + 60)

@@ -6,7 +6,7 @@ from h2mul import (InvalidInputError, admissible, admissible_boxes,
                    build_coarse_row_basis, build_product_block_tree,
                    multiply, refinement_counts, sparsity_constant, to_dense)
 from h2mul.trees import KIND_A, KIND_B, KIND_C
-from util import random_cluster_tree, random_h2
+from util import random_cluster_tree, random_h2, unbalanced_pair
 
 
 class TestClusterTree:
@@ -236,17 +236,6 @@ class TestProductBlockTree:
         assert max(consts) <= 24
 
     @staticmethod
-    def _unbalanced_pair():
-        # odd sizes and mixed dimensions: leaf clusters paired with deeper
-        # subtrees, as in TestAssembleProduct.test_exact_with_unbalanced_trees
-        rng = np.random.default_rng(75)
-        t_i = build_cluster_tree(rng.uniform(size=(37, 2)), 3)
-        t_j = build_cluster_tree(rng.uniform(size=(53, 1)), 5)
-        t_k = build_cluster_tree(rng.uniform(size=(41, 2)), 3)
-        return (random_h2(rng, t_i, t_j, eta=1.0, rank=3),
-                random_h2(rng, t_j, t_k, eta=1.0, rank=3))
-
-    @staticmethod
     def _log_1d_pair():
         import h2mul
         g = h2mul.build_problem(h2mul.KernelProblem.log_1d(64), eta=2.0).h2
@@ -254,24 +243,32 @@ class TestProductBlockTree:
 
     @pytest.mark.parametrize("pair", ["unbalanced", "log-1d"])
     def test_terms_tile_the_product(self, pair):
-        x, y = (self._unbalanced_pair() if pair == "unbalanced"
+        x, y = (unbalanced_pair() if pair == "unbalanced"
                 else self._log_1d_pair())
         pt, terms = build_product_block_tree(x.block_tree, y.block_tree)
-        assert len(terms) == pt.nblocks
+        assert len(terms) == 3
         rows, mid, cols = pt.rows, x.block_tree.cols, pt.cols
         dx, dy = to_dense(x), to_dense(y)
         total = np.zeros((dx.shape[0], dy.shape[1]))
-        for b, ended in enumerate(terms):
-            t, r = rows.index_range(pt.row[b]), cols.index_range(pt.col[b])
-            for kind, s in ended:
-                assert kind in (KIND_A, KIND_B, KIND_C)
+        pairs = set()
+        for kind in (KIND_A, KIND_B, KIND_C):
+            blocks, mids = terms[kind]
+            assert blocks.dtype == np.intp and mids.dtype == np.intp
+            assert blocks.shape == mids.shape
+            assert (np.diff(blocks) >= 0).all()  # sorted by block
+            for b, s in zip(blocks.tolist(), mids.tolist()):
+                assert (b, s) not in pairs  # every middle ends once
+                pairs.add((b, s))
+                t = rows.index_range(pt.row[b])
+                r = cols.index_range(pt.col[b])
                 s = mid.index_range(s)
                 total[t, r] += dx[t, s] @ dy[s, r]
-            kinds = {kind for kind, _ in ended}
+        dense = set(terms[KIND_C][0].tolist())
+        for b in range(pt.nblocks):
             if pt.is_leaf(b):
-                assert pt.admissible[b] == (KIND_C not in kinds)
+                assert pt.admissible[b] == (b not in dense)
             else:
-                assert KIND_C not in kinds
+                assert b not in dense
         ref = dx @ dy
         assert np.linalg.norm(total - ref) <= 1e-12 * np.linalg.norm(ref)
 

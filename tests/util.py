@@ -48,6 +48,18 @@ def random_h2_pair(rng, n=48, leaf_size=4, eta=1.0, rank=3, dim=1):
     return x, y
 
 
+def unbalanced_pair():
+    """X and Y over odd sizes and mixed dimensions: blocks pair leaf
+    clusters with deeper subtrees (the pair of
+    TestAssembleProduct.test_exact_with_unbalanced_trees)."""
+    rng = np.random.default_rng(75)
+    t_i = build_cluster_tree(rng.uniform(size=(37, 2)), 3)
+    t_j = build_cluster_tree(rng.uniform(size=(53, 1)), 5)
+    t_k = build_cluster_tree(rng.uniform(size=(41, 2)), 3)
+    return (random_h2(rng, t_i, t_j, eta=1.0, rank=3),
+            random_h2(rng, t_j, t_k, eta=1.0, rank=3))
+
+
 def rel_spectral(a, b):
     denom = np.linalg.norm(b, 2)
     if denom == 0.0:
