@@ -18,15 +18,12 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .coarsening import (_block_norms, build_coarse_col_basis,
-                         build_coarse_row_basis, project_final, recompress)
+from .coarsening import coarsen, recompress
 from .errors import InvalidInputError
-from .h2 import (H2Matrix, cluster_basis_product, h2_matvec,
-                 h2_matvec_adjoint, storage_bytes, to_dense)
-from .induced import (assemble_product, compress_induced_col_basis,
-                      compress_induced_row_basis)
+from .h2 import H2Matrix, h2_matvec, h2_matvec_adjoint, storage_bytes, to_dense
+from .induced import multiply
 from .problems import KernelProblem, build_problem
-from .weights import basis_weights, total_weights
+from .stages import record_stages
 
 __all__ = [
     "RunConfig",
@@ -186,9 +183,9 @@ def run_experiment(config: RunConfig) -> RunReport:
     Inputs are recompressed to adaptive ranks at the multiplication
     accuracy before the product is formed (skipped in exact mode), in
     line with the compressed-input pipeline of the reference protocol.
-    The setup stage (problem build, input recompression, basis weights,
-    total weights, basis products) is timed as t_setup; t_total covers
-    everything from the finished inputs to the final coarse matrix.
+    The product is the public ``multiply`` and ``coarsen``, timed by
+    their stage marks.  t_setup is the problem build, the recompression
+    and the product's weights; t_total is the sum of the six phases.
     """
     config.validate()
     problem = PROBLEMS[config.problem](config.n, order=config.order)
@@ -198,50 +195,21 @@ def run_experiment(config: RunConfig) -> RunReport:
     x = inst.h2
     if config.eps > 0:
         x = recompress(x, config.eps, max_rank=config.max_rank)
-    y = x
-    pxy = cluster_basis_product(x.col_basis, y.row_basis)
-    zy = total_weights(y, basis_weights(y.col_basis))
-    zxt = total_weights(x.transposed(), basis_weights(x.row_basis))
-    t_setup = time.perf_counter() - t0
+    t_build = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    qrow = compress_induced_row_basis(x, y, zy, pxy, config.eps,
-                                      max_rank=config.max_rank)
-    t1_row = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    qcol = compress_induced_col_basis(x, y, zxt, pxy, config.eps,
-                                      max_rank=config.max_rank)
-    t1_col = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    induced = assemble_product(x, y, qrow, qcol, pxy)
-    t1_mat = time.perf_counter() - t0
-
-    coarse = x.block_tree if config.coarsen == "input-tree" \
-        else induced.block_tree
-    t0 = time.perf_counter()
-    norms = _block_norms(induced.coupling)
-    nnorms = _block_norms(induced.nearfield)
-    rowstate = build_coarse_row_basis(induced, coarse, config.eps,
-                                      max_rank=config.max_rank,
-                                      coupling_norms=norms,
-                                      nearfield_norms=nnorms)
-    t2_row = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    colstate = build_coarse_col_basis(induced, coarse, config.eps,
-                                      max_rank=config.max_rank,
-                                      coupling_norms=norms,
-                                      nearfield_norms=nnorms)
-    t2_col = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    final = project_final(induced, rowstate, colstate, coarse)
-    t2_mat = time.perf_counter() - t0
+    with record_stages() as phases:
+        induced = multiply(x, x, config.eps, max_rank=config.max_rank)
+        coarse = x.block_tree if config.coarsen == "input-tree" \
+            else induced.block_tree
+        final = coarsen(induced, coarse, config.eps, max_rank=config.max_rank)
+    t_setup = t_build + phases.pop("t_setup")  # leaves t1_* and t2_*
 
     eps2_induced = eps2_final = math.nan
     if config.steps > 0:
         eps2_induced = estimate_relative_spectral_error(
-            x, y, induced, steps=config.steps, seed=config.seed)
+            x, x, induced, steps=config.steps, seed=config.seed)
         eps2_final = estimate_relative_spectral_error(
-            x, y, final, steps=config.steps, seed=config.seed)
+            x, x, final, steps=config.steps, seed=config.seed)
 
     dense_err_induced = dense_err_final = math.nan
     if config.dense_check:
@@ -258,11 +226,9 @@ def run_experiment(config: RunConfig) -> RunReport:
     return RunReport(
         problem=config.problem, n=config.n, eps=config.eps, eta=config.eta,
         order=config.order, leaf_size=leaf_size,
-        seed=config.seed, t_setup=t_setup,
-        t1_row=t1_row, t1_col=t1_col, t1_mat=t1_mat,
-        eps2_induced=eps2_induced,
-        t2_row=t2_row, t2_col=t2_col, t2_mat=t2_mat, eps2_final=eps2_final,
-        t_total=t1_row + t1_col + t1_mat + t2_row + t2_col + t2_mat,
+        seed=config.seed, t_setup=t_setup, **phases,
+        eps2_induced=eps2_induced, eps2_final=eps2_final,
+        t_total=sum(phases.values()),
         max_rank_induced=max_ind, avg_rank_induced=avg_ind,
         max_rank_final=max_fin, avg_rank_final=avg_fin,
         mem_induced=storage_bytes(induced), mem_final=storage_bytes(final),

@@ -16,10 +16,11 @@ from functools import reduce
 
 import numpy as np
 
-from .dense import spectral_norm, spectral_norms, truncated_svd
+from .dense import spectral_norm, truncated_svd
 from .errors import InvalidInputError, StructureError
 from .h2 import (ClusterBasis, H2Matrix, PackedBlocks, nested_basis,
                  orthogonalize_basis)
+from .stages import stage
 from .trees import BlockTree, ColumnTree, same_cluster_tree
 from .weights import total_weights
 
@@ -171,9 +172,7 @@ def _leaf_rep(g: H2Matrix, b: int, r_t: np.ndarray,
 
 
 def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
-                           max_rank: int | None = None,
-                           coupling_norms: dict[int, float] | None = None,
-                           nearfield_norms: dict[int, float] | None = None) -> CoarsenState:
+                           max_rank: int | None = None) -> CoarsenState:
     """Adaptive row basis for re-compressing g onto the coarse block tree.
 
     Follows the condensation recursion: the weights Z_t come from one
@@ -183,7 +182,8 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
     and subdivided blocks lying inside admissible coarse blocks.  Representations of subdivided
     blocks are merged from the children by matching column trees.  Every
     block is divided by its spectral norm before truncation (block-relative
-    error control); a negative ``max_rank`` raises InvalidInputError.
+    error control; stored blocks use g's cached ``PackedBlocks.norms``); a
+    negative ``max_rank`` raises InvalidInputError.
     """
     if max_rank is not None and max_rank < 0:
         raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
@@ -205,11 +205,8 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
 
     rmap: dict[int, np.ndarray] = {}
     reps: dict[int, ColumnTree] = {}
-    if coupling_norms is None:
-        coupling_norms = _block_norms(g.coupling)
-    if nearfield_norms is None:
-        nearfield_norms = _block_norms(g.nearfield)
-    zmap = total_weights(g, None, norms=coupling_norms).z
+    zmap = total_weights(g, None).z
+    nearfield_norms = g.packed_nearfield.norms()
 
     def scaled(m, nrm=None):
         if nrm is None:
@@ -258,16 +255,11 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
     return CoarsenState(q, rmap, reps)
 
 
-def build_coarse_col_basis(g: H2Matrix, coarse: BlockTree, tol: float,
-                           **kwargs) -> CoarsenState:
+def build_coarse_col_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
+                           max_rank: int | None = None) -> CoarsenState:
     """Adaptive column basis: the row construction applied to G^T."""
     return build_coarse_row_basis(g.transposed(), coarse.transposed(), tol,
-                                  **kwargs)
-
-
-def _block_norms(blocks: dict[int, np.ndarray]) -> dict[int, float]:
-    keys = list(blocks)
-    return dict(zip(keys, spectral_norms([blocks[b] for b in keys])))
+                                  max_rank=max_rank)
 
 
 def _lift(node: ColumnTree, chain: np.ndarray, out: np.ndarray,
@@ -324,16 +316,14 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
 
 def coarsen(g: H2Matrix, coarse: BlockTree, tol: float, *,
             max_rank: int | None = None) -> H2Matrix:
-    """Convenience driver for phase 2: both bases plus final projection."""
-    norms = _block_norms(g.coupling)
-    nnorms = _block_norms(g.nearfield)
-    rowstate = build_coarse_row_basis(g, coarse, tol, max_rank=max_rank,
-                                      coupling_norms=norms,
-                                      nearfield_norms=nnorms)
-    colstate = build_coarse_col_basis(g, coarse, tol, max_rank=max_rank,
-                                      coupling_norms=norms,
-                                      nearfield_norms=nnorms)
-    return project_final(g, rowstate, colstate, coarse)
+    """Phase 2: coarse row basis, column basis, projection (stages ``t2_row``,
+    ``t2_col``, ``t2_mat``), with one norm pass per block kind of g."""
+    with stage("t2_row"):
+        rowstate = build_coarse_row_basis(g, coarse, tol, max_rank=max_rank)
+    with stage("t2_col"):
+        colstate = build_coarse_col_basis(g, coarse, tol, max_rank=max_rank)
+    with stage("t2_mat"):
+        return project_final(g, rowstate, colstate, coarse)
 
 
 def orthogonalized(g: H2Matrix) -> H2Matrix:

@@ -21,8 +21,10 @@ __all__ = [
     "TruncatedSVD",
     "as_matrix",
     "full_householder_qr",
+    "qr_r",
     "truncated_svd",
     "spectral_norm",
+    "spectral_norms",
 ]
 
 _EPS = np.finfo(np.float64).eps

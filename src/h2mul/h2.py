@@ -7,7 +7,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .dense import truncated_svd
+from .dense import spectral_norms, truncated_svd
 from .errors import InvalidInputError
 from .trees import BlockTree, ClusterTree, same_cluster_tree
 
@@ -117,9 +117,6 @@ class ClusterBasis:
         """V_t^T V_t of the expanded basis (the isometry check)."""
         v = self.expand(t)
         return v.T @ v
-
-    def max_rank(self) -> int:
-        return max(self.rank) if self.rank else 0
 
     def storage_bytes(self) -> int:
         total = sum(m.nbytes for m in self.leaf_matrix.values())
@@ -234,6 +231,16 @@ class PackedBlocks:
         self.index = index
         self.layout = layout
         self.by_rows = by_rows
+        self._norms: dict[int, float] = {}  # shared with the transpose
+
+    def norms(self) -> dict[int, float]:
+        """Spectral norms by block id: one ``spectral_norms`` pass over the
+        blocks as G stores them, at the first call (the blocks must be
+        final by then); the transpose shares the dict."""
+        if not self._norms and self.blocks:
+            stored = [m.T if self.by_rows else m for m in self.blocks.values()]
+            self._norms.update(zip(self.blocks, spectral_norms(stored)))
+        return self._norms
 
     @classmethod
     def zeros(cls, shapes, block_tree: BlockTree, row_start,
@@ -308,10 +315,12 @@ class PackedBlocks:
     def transposed(self, block_tree: BlockTree) -> "PackedBlocks":
         """The transposed blocks over ``block_tree``, sharing the arrays."""
         _, row_start, col_start = self.layout
-        return PackedBlocks(
+        out = PackedBlocks(
             MappingProxyType({b: m.T for b, m in self.blocks.items()}),
             self.rows, self.index, (block_tree, col_start, row_start),
             not self.by_rows)
+        out._norms = self._norms
+        return out
 
     def apply(self, v: np.ndarray, n: int) -> np.ndarray:
         """The blocks applied to the flat vector v, as a new length-n

@@ -20,6 +20,7 @@ from .dense import full_householder_qr, spectral_norms, truncated_svd
 from .errors import InvalidInputError
 from .h2 import (BasisProduct, ClusterBasis, H2Matrix, PackedBlocks,
                  cluster_basis_product, nested_basis)
+from .stages import stage
 from .trees import (KIND_A, KIND_B, KIND_C, BlockTree,
                     build_product_block_tree, same_cluster_tree)
 from .weights import TotalWeights, basis_weights, total_weights
@@ -300,10 +301,17 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
 
 def multiply(x: H2Matrix, y: H2Matrix, tol: float, *,
              max_rank: int | None = None) -> H2Matrix:
-    """Convenience driver for phase 1: weights, bases, assembly."""
-    pxy = cluster_basis_product(x.col_basis, y.row_basis)
-    zy = total_weights(y, basis_weights(y.col_basis))
-    zxt = total_weights(x.transposed(), basis_weights(x.row_basis))
-    qrow = compress_induced_row_basis(x, y, zy, pxy, tol, max_rank=max_rank)
-    qcol = compress_induced_col_basis(x, y, zxt, pxy, tol, max_rank=max_rank)
-    return assemble_product(x, y, qrow, qcol, pxy)
+    """Phase 1: weights (stage ``t_setup``), then induced row basis,
+    column basis and assembly (``t1_row``, ``t1_col``, ``t1_mat``)."""
+    with stage("t_setup"):
+        pxy = cluster_basis_product(x.col_basis, y.row_basis)
+        zy = total_weights(y, basis_weights(y.col_basis))
+        zxt = total_weights(x.transposed(), basis_weights(x.row_basis))
+    with stage("t1_row"):
+        qrow = compress_induced_row_basis(x, y, zy, pxy, tol,
+                                          max_rank=max_rank)
+    with stage("t1_col"):
+        qcol = compress_induced_col_basis(x, y, zxt, pxy, tol,
+                                          max_rank=max_rank)
+    with stage("t1_mat"):
+        return assemble_product(x, y, qrow, qcol, pxy)

@@ -353,9 +353,6 @@ class ModelInstance:
     blocks: BlockTree
     h2: H2Matrix
 
-    def permuted_points(self) -> np.ndarray:
-        return self.tree.points
-
     def permuted_weights(self) -> np.ndarray:
         return self.geometry.weights[self.tree.perm]
 

@@ -70,9 +70,6 @@ class ClusterTree:
     def index_range(self, t: int) -> slice:
         return slice(self.start[t], self.stop[t])
 
-    def diameter(self, t: int) -> float:
-        return box_diameter(self.bbox_min[t], self.bbox_max[t])
-
     def depth(self) -> int:
         depth = [0] * self.nnodes
         out = 0

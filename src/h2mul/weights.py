@@ -51,8 +51,8 @@ def basis_weights(w: ClusterBasis) -> BasisWeights:
     return BasisWeights(tree, r)
 
 
-def total_weights(y: H2Matrix, rw: BasisWeights | None, scaling: bool = True,
-                  norms: dict[int, float] | None = None) -> TotalWeights:
+def total_weights(y: H2Matrix, rw: BasisWeights | None,
+                  scaling: bool = True) -> TotalWeights:
     """Top-down condensation of the admissible blocks of y.
 
     For each cluster s, stacks the parent weight pushed through the
@@ -62,9 +62,9 @@ def total_weights(y: H2Matrix, rw: BasisWeights | None, scaling: bool = True,
     ``scaling`` on, each block row is divided by the spectral norm of
     S_sr @ R_r^T, the exact norm of that block's column factor, which
     turns a uniform truncation threshold into block-relative error
-    control; ``norms`` supplies these norms by block id when they were
-    computed beforehand.  Zero-norm blocks are skipped: they impose no
-    constraint.
+    control; with ``rw=None`` these are the norms of y's couplings,
+    read from the matrix's norm cache (``PackedBlocks.norms``).
+    Zero-norm blocks are skipped: they impose no constraint.
     """
     bt = y.block_tree
     tree = bt.rows
@@ -73,6 +73,7 @@ def total_weights(y: H2Matrix, rw: BasisWeights | None, scaling: bool = True,
     for b in bt.admissible_leaves():
         row_map[bt.row[b]].append(b)
 
+    norms = y.packed_coupling.norms() if scaling and rw is None else None
     z: dict[int, np.ndarray] = {}
     pushed: dict[int, np.ndarray] = {}  # child -> parent weight, pushed down
     for s in range(tree.nnodes):

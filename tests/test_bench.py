@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from h2mul import (H2Matrix, InvalidInputError, multiply, to_dense)
+from h2mul import (H2Matrix, InvalidInputError, coarsen, multiply, stages,
+                   to_dense)
 from h2mul.bench import (CSV_COLUMNS, RunConfig, estimate_spectral_norm,
                          estimate_relative_spectral_error, main,
                          run_experiment, run_scaling_sweep, write_csv)
@@ -179,6 +180,52 @@ class TestRunExperiment:
         cfg = RunConfig(problem="log-1d", n=128, eps=1e-4, steps=0)
         rep = run_experiment(cfg)
         assert math.isnan(rep.eps2_induced) and math.isnan(rep.eps2_final)
+
+
+class TestStageMarks:
+    PHASES = ["t1_row", "t1_col", "t1_mat", "t2_row", "t2_col", "t2_mat"]
+
+    def test_run_experiment_reads_the_stage_marks(self):
+        rep = run_experiment(RunConfig(problem="log-1d", n=256, eps=1e-4,
+                                       steps=0))
+        phases = [getattr(rep, name) for name in self.PHASES]
+        assert all(t > 0.0 for t in phases)
+        assert rep.t_total == sum(phases)
+        assert rep.t_setup > 0.0
+
+    def test_coarsen_marks_its_three_stages(self):
+        rng = np.random.default_rng(6)
+        x, y = random_h2_pair(rng, n=48, leaf_size=4)
+        g = multiply(x, y, 1e-4)
+        with stages.record_stages() as times:
+            coarsen(g, g.block_tree, 1e-4)
+        assert sorted(times) == ["t2_col", "t2_mat", "t2_row"]
+        assert all(t > 0.0 for t in times.values())
+
+    def test_multiply_marks_its_stages(self):
+        rng = np.random.default_rng(7)
+        x, y = random_h2_pair(rng, n=48, leaf_size=4)
+        with stages.record_stages() as times:
+            multiply(x, y, 1e-4)
+        assert sorted(times) == ["t1_col", "t1_mat", "t1_row", "t_setup"]
+
+    def test_nothing_recorded_outside_a_recording(self):
+        rng = np.random.default_rng(8)
+        x, y = random_h2_pair(rng, n=48, leaf_size=4)
+        with stages.record_stages() as times:
+            pass
+        multiply(x, y, 1e-4)
+        assert times == {}
+        assert stages._times.get() is None
+
+    def test_exception_resets_the_recording(self):
+        with pytest.raises(RuntimeError):
+            with stages.record_stages():
+                raise RuntimeError("inside a recording")
+        assert stages._times.get() is None
+        with stages.stage("t1_row"):
+            pass
+        assert stages._times.get() is None
 
 
 class TestSweepAndCSV:

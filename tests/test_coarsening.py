@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from h2mul import (ColumnTree, InvalidInputError, build_block_tree,
                    build_cluster_tree, build_coarse_col_basis,
-                   build_coarse_row_basis, coarsen, expand_basis,
+                   build_coarse_row_basis, coarsen, dense, expand_basis,
                    match_column, multiply, orthogonalized, project_final,
                    recompress, to_dense, total_weights, union_column_tree)
 from util import random_basis, random_h2, random_h2_pair, rel_spectral
@@ -235,6 +237,34 @@ class TestProjectFinal:
         depth = g.block_tree.rows.depth() + 1
         err = rel_spectral(to_dense(out), to_dense(g))
         assert err <= depth * 10 * eps
+
+
+class TestNormCache:
+    def count_norm_passes(self, monkeypatch):
+        calls = []
+        original = dense.spectral_norms
+
+        def counted(mats):
+            calls.append(1)
+            return original(mats)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is not None and mod_name.startswith("h2mul"):
+                for attr, value in list(vars(mod).items()):
+                    if value is original:
+                        monkeypatch.setattr(mod, attr, counted)
+        return calls
+
+    def test_one_pass_per_block_kind(self, monkeypatch):
+        x, y, g = small_product(seed=17, n=64, tol=1e-4)
+        assert g.coupling and g.nearfield
+        coarse = build_block_tree(g.block_tree.rows, g.block_tree.cols, 1.0)
+        calls = self.count_norm_passes(monkeypatch)
+        first = coarsen(g, coarse, 1e-4)
+        assert len(calls) == 2  # couplings and nearfield, both bases
+        second = coarsen(g, coarse, 1e-4)
+        assert len(calls) == 2
+        assert np.array_equal(to_dense(first), to_dense(second))
 
 
 class TestRecompress:

@@ -9,6 +9,7 @@ from h2mul import (ClusterBasis, H2Matrix, InvalidInputError, KernelProblem,
                    h2_matvec_adjoint, matvec_cost, nested_basis,
                    orthogonalize_basis, orthogonalized, recompress,
                    storage_bytes, to_dense)
+from h2mul.dense import spectral_norms
 from util import (random_basis, random_cluster_tree, random_h2,
                   random_h2_pair)
 
@@ -312,6 +313,24 @@ class TestPackedStorage:
         for b, m in g.nearfield.items():
             assert np.shares_memory(r.nearfield[b], m)
         assert orthogonalized(g).packed_nearfield is g.packed_nearfield
+
+    def test_norm_cache(self):
+        rng = np.random.default_rng(49)
+        x, _ = random_h2_pair(rng, n=40)
+        xt = x.transposed()
+        # asked from the transpose first, the norms are still those of
+        # the blocks as x stores them, and both sides share one dict
+        for packed, packed_t, store in (
+                (x.packed_coupling, xt.packed_coupling, x.coupling),
+                (x.packed_nearfield, xt.packed_nearfield, x.nearfield)):
+            norms = packed_t.norms()
+            assert packed.norms() is norms
+            ids = list(store)
+            assert norms == dict(zip(ids, spectral_norms(
+                [store[b] for b in ids])))
+            for b in ids:
+                assert norms[b] == pytest.approx(np.linalg.norm(store[b], 2),
+                                                 rel=1e-12)
 
     def test_foreign_packed_blocks_rejected(self):
         rng = np.random.default_rng(47)
