@@ -10,8 +10,7 @@ re-compresses onto a prescribed coarser tree.
 
 from .coarsening import (CoarsenState, build_coarse_col_basis,
                          build_coarse_row_basis, coarsen, match_column,
-                         orthogonalized, project_final, recompress,
-                         union_column_tree)
+                         orthogonalized, project_final, recompress)
 from .dense import (TruncatedSVD, full_householder_qr, spectral_norm,
                     truncated_svd)
 from .errors import InvalidInputError, StructureError

@@ -3,21 +3,21 @@
 The product from phase 1 lives on the refined tree with isometric bases.
 Admissible parts condense into per-cluster weights Z_t; blocks that the
 refined tree subdivides but the target tree keeps admissible are carried
-as column-tree representations, merged across levels by matching their
-column trees through the transfer matrices.  New adaptive bases are cut
-by singular value decompositions of the condensed matrices, and the
-final matrix is projected onto them block by block.
+as column trees, merged from their children's by ``match_column``, the
+one walk that unites two trees through the transfer matrices.  New
+adaptive bases are cut by singular value decompositions of the condensed
+matrices, and the final matrix is projected onto them block by block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
 from .dense import spectral_norm, truncated_svd
-from .errors import InvalidInputError, StructureError
+from .errors import InvalidInputError
 from .h2 import (ClusterBasis, H2Matrix, PackedBlocks, nested_basis,
                  orthogonalize_basis)
 from .stages import stage
@@ -27,7 +27,6 @@ from .weights import total_weights
 __all__ = [
     "CoarsenState",
     "match_column",
-    "union_column_tree",
     "build_coarse_row_basis",
     "build_coarse_col_basis",
     "project_final",
@@ -40,10 +39,9 @@ class CoarsenState:
     """Result of one adaptive coarse-basis construction.
 
     ``q`` is the new isometric nested basis, ``r[t] = Q_t^T V_t`` the
-    change from the old basis, and ``reps[b]`` a column tree with
-    attached representation matrices Q_t^T G|tr for every
-    subdivided-or-nearfield product block (t, r) below an admissible
-    block of the target tree.
+    change from the old basis, and ``reps[b]`` a column tree whose leaves
+    hold Q_t^T G|tr for every subdivided-or-nearfield product block
+    (t, r) below an admissible block of the target tree.
     """
 
     q: ClusterBasis
@@ -51,75 +49,51 @@ class CoarsenState:
     reps: dict[int, ColumnTree]
 
 
-def union_column_tree(a: ColumnTree | None, b: ColumnTree | None) -> ColumnTree:
-    """Structure-only union of two column trees over the same root."""
-    if a is None:
-        return b.structure()
-    if b is None:
-        return a.structure()
-    if a.cluster != b.cluster:
-        raise StructureError("column trees rooted at different clusters")
-    if a.children and b.children:
-        kids = [union_column_tree(ca, cb)
-                for ca, cb in zip(a.children, b.children)]
-        return ColumnTree(a.cluster, kids)
-    if a.children:
-        return a.structure()
-    if b.children:
-        return b.structure()
-    return ColumnTree(a.cluster, admissible=a.admissible and b.admissible)
+def _down(node: ColumnTree, kids, w: ClusterBasis):
+    """The children of ``node``; for a leaf, children over the clusters of
+    ``kids`` with its matrix moved down through the transfers of ``w``."""
+    if node.children:
+        return node.children
+    return [ColumnTree(k.cluster, (), True, None if node.matrix is None
+                       else node.matrix @ w.transfer[k.cluster].T)
+            for k in kids]
 
 
-def match_column(ct: ColumnTree, target: ColumnTree,
+def match_column(ct: ColumnTree, other: ColumnTree,
                  w: ClusterBasis) -> ColumnTree:
-    """Refine a column representation to cover the target structure.
+    """Merge two column representations over the same root cluster.
 
-    Where the target subdivides a leaf, children are created through the
-    transfer matrices of ``w`` (A_r -> A_r F_r'^T); where the target
-    marks an admissible leaf inadmissible, the representation switches
-    to explicit columns (A_r -> A_r W_r^T).  The represented matrix is
-    unchanged.
+    The result has the union of both structures, and each of its leaves
+    stacks ct's rows over other's.  Where one tree is a leaf and the
+    other subdivides it, the leaf's matrix moves down through the
+    transfer matrices of ``w`` (A_r -> A_r F_r'^T); where the union leaf
+    is inadmissible, an admissible matrix becomes explicit columns
+    (A_r -> A_r W_r^T).  A tree without matrices adds structure only, so
+    ``match_column(ct, target, w)`` refines ct to cover target and leaves
+    the matrix it represents unchanged.
     """
-    if ct.cluster != target.cluster:
-        raise InvalidInputError("representation and target roots differ")
-    if ct.children:
-        if target.is_leaf():
-            return ct
-        kids = [match_column(c, tc, w)
-                for c, tc in zip(ct.children, target.children)]
-        return ColumnTree(ct.cluster, kids, ct.admissible, ct.matrix)
-    if target.children:
-        kids = []
-        for tc in target.children:
-            child = ColumnTree(tc.cluster, (), True,
-                               ct.matrix @ w.transfer[tc.cluster].T)
-            kids.append(match_column(child, tc, w))
-        return ColumnTree(ct.cluster, kids, True)
-    if ct.admissible and not target.admissible:
-        return ColumnTree(ct.cluster, (), False,
-                          ct.matrix @ w.leaf_matrix[ct.cluster].T)
-    return ct
+    if ct.cluster != other.cluster:
+        raise InvalidInputError("column trees rooted at different clusters")
+    if ct.children or other.children:
+        kids = ct.children or other.children
+        return ColumnTree(ct.cluster, [
+            match_column(a, b, w)
+            for a, b in zip(_down(ct, kids, w), _down(other, kids, w))])
+    adm = ct.admissible and other.admissible
+    mats = [node.matrix if node.admissible == adm
+            else node.matrix @ w.leaf_matrix[node.cluster].T
+            for node in (ct, other) if node.matrix is not None]
+    if len(mats) > 1:
+        mats = [np.vstack(mats)]
+    return ColumnTree(ct.cluster, (), adm, mats[0] if mats else None)
 
 
-def _stack_reps(reps: list[ColumnTree]) -> ColumnTree:
-    first = reps[0]
-    if first.children:
-        kids = [_stack_reps([r.children[i] for r in reps])
-                for i in range(len(first.children))]
-        return ColumnTree(first.cluster, kids, first.admissible)
-    return ColumnTree(first.cluster, (), first.admissible,
-                      np.vstack([r.matrix for r in reps]))
-
-
-def _map_rep(ct: ColumnTree, fn) -> ColumnTree:
+def _project(ct: ColumnTree, qt: np.ndarray) -> ColumnTree:
+    """``ct`` with every leaf matrix multiplied from the left by ``qt``."""
     if ct.is_leaf():
-        return ColumnTree(ct.cluster, (), ct.admissible, fn(ct.matrix))
-    return ColumnTree(ct.cluster, [_map_rep(c, fn) for c in ct.children],
+        return ColumnTree(ct.cluster, (), ct.admissible, qt @ ct.matrix)
+    return ColumnTree(ct.cluster, [_project(c, qt) for c in ct.children],
                       ct.admissible)
-
-
-def _flatten_rep(ct: ColumnTree) -> np.ndarray:
-    return np.hstack([leaf.matrix for leaf in ct.leaves()])
 
 
 def _validate_coarse(pt: BlockTree, coarse: BlockTree):
@@ -127,10 +101,15 @@ def _validate_coarse(pt: BlockTree, coarse: BlockTree):
             and same_cluster_tree(pt.cols, coarse.cols)):
         raise InvalidInputError("coarse tree lives on different cluster trees")
     for b in range(coarse.nblocks):
-        if (coarse.row[b], coarse.col[b]) not in pt.index:
+        key = (coarse.row[b], coarse.col[b])
+        pb = pt.index.get(key)
+        if pb is None:
             raise InvalidInputError(
-                f"coarse block ({coarse.row[b]}, {coarse.col[b]}) is finer "
-                "than the product block tree")
+                f"coarse block {key} is finer than the product block tree")
+        if pt.children[pb] and coarse.is_inadmissible_leaf(b):
+            raise InvalidInputError(
+                f"inadmissible coarse leaf {key} is subdivided in the "
+                "product block tree")
 
 
 def _coverage(pt: BlockTree, coarse: BlockTree) -> list[bool]:
@@ -158,32 +137,20 @@ def _row_rep(g: H2Matrix, b: int, r_t: np.ndarray,
     return reps[b]
 
 
-def _leaf_rep(g: H2Matrix, b: int, r_t: np.ndarray,
-              reps: dict[int, ColumnTree]) -> ColumnTree:
-    """Column tree of a block at a leaf row cluster t, whose sub-blocks
-    all keep t; records the subdivided ones in ``reps``."""
-    pt = g.block_tree
-    if pt.is_leaf(b):
-        return _row_rep(g, b, r_t, reps)
-    rep = ColumnTree(pt.col[b], [_leaf_rep(g, b2, r_t, reps)
-                                 for b2 in pt.children[b]], True)
-    reps[b] = rep
-    return rep
-
-
 def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
                            max_rank: int | None = None) -> CoarsenState:
     """Adaptive row basis for re-compressing g onto the coarse block tree.
 
-    Follows the condensation recursion: the weights Z_t come from one
-    top-down condensation of g (``total_weights`` with g's isometric
-    column basis), the basis is cut bottom-up from the condensed
-    matrices [V_t Z_t^T | ...] whose remaining columns are the nearfield
-    and subdivided blocks lying inside admissible coarse blocks.  Representations of subdivided
-    blocks are merged from the children by matching column trees.  Every
-    block is divided by its spectral norm before truncation (block-relative
-    error control; stored blocks use g's cached ``PackedBlocks.norms``); a
-    negative ``max_rank`` raises InvalidInputError.
+    The weights Z_t come from one top-down condensation of g
+    (``total_weights`` with g's isometric column basis); the basis is cut
+    bottom-up from the condensed matrices [V_t Z_t^T | ...], whose other
+    columns are the nearfield and subdivided blocks inside admissible
+    coarse blocks.  A subdivided block's representation is merged from
+    its children's by ``match_column``, one walk per shared column
+    cluster.  Every block is divided by its spectral norm before
+    truncation (block-relative error control; stored blocks use g's
+    cached ``PackedBlocks.norms``); a negative ``max_rank`` raises
+    InvalidInputError.
     """
     if max_rank is not None and max_rank < 0:
         raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
@@ -191,7 +158,7 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
     _validate_coarse(pt, coarse)
     cov = _coverage(pt, coarse)
     tree = pt.rows
-    w1 = g.col_basis
+    merge = partial(match_column, w=g.col_basis)
 
     near_cov: dict[int, list[int]] = {t: [] for t in range(tree.nnodes)}
     sub_cov: dict[int, list[int]] = {t: [] for t in range(tree.nnodes)}
@@ -208,35 +175,29 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
     zmap = total_weights(g, None).z
     nearfield_norms = g.packed_nearfield.norms()
 
-    def scaled(m, nrm=None):
-        if nrm is None:
-            nrm = spectral_norm(m)
-        return m / nrm if nrm > 0.0 else m
-
-    def merged_rep(b):
-        # children of (t, r) are chil(t) x (chil(r) or {r}) here
+    def merged_rep(b, changes):
+        # children of (t, r) are chil(t) x (chil(r) or {r}); changes[t2]
+        # is the basis change of each child's row cluster t2
         groups: dict[int, list[ColumnTree]] = {}
         for b2 in pt.children[b]:
             groups.setdefault(pt.col[b2], []).append(
-                _row_rep(g, b2, rmap[pt.row[b2]], reps))
-        merged = []
-        for parts in groups.values():
-            target = reduce(union_column_tree, parts, None)
-            merged.append(_stack_reps([match_column(p, target, w1)
-                                       for p in parts]))
-        r = pt.col[b]
-        if list(groups) == [r]:
+                _row_rep(g, b2, changes[pt.row[b2]], reps))
+        merged = [reduce(merge, parts) for parts in groups.values()]
+        if list(groups) == [pt.col[b]]:
             return merged[0]
-        return ColumnTree(r, merged, True)
+        return ColumnTree(pt.col[b], merged, True)
 
     def cut(t, v_t):
         leaf = tree.is_leaf(t)
         if leaf:
-            extra = [scaled(g.nearfield[b], nearfield_norms[b])
-                     for b in near_cov[t]]
+            blocks = [(g.nearfield[b], nearfield_norms[b])
+                      for b in near_cov[t]]
         else:
-            merged = [merged_rep(b) for b in sub_cov[t]]
-            extra = [scaled(_flatten_rep(rep)) for rep in merged]
+            merged = [merged_rep(b, rmap) for b in sub_cov[t]]
+            flat = [np.hstack([node.matrix for node in rep.leaves()])
+                    for rep in merged]
+            blocks = [(m, spectral_norm(m)) for m in flat]
+        extra = [m / nrm if nrm > 0.0 else m for m, nrm in blocks]
         svd = truncated_svd(np.hstack([v_t @ zmap[t].T] + extra), tol,
                             max_rank=max_rank)
         q_t = svd.u
@@ -244,11 +205,12 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
         if leaf:
             for b in near_cov[t]:
                 reps[b] = ColumnTree(pt.col[b], (), False, q_t.T @ g.nearfield[b])
-            for b in sub_cov[t]:
-                _leaf_rep(g, b, r_t, reps)
+            # sub-blocks at a leaf row keep t: build them children first
+            for b in reversed(sub_cov[t]):
+                reps[b] = merged_rep(b, {t: r_t})
         else:
             for b, rep in zip(sub_cov[t], merged):
-                reps[b] = _map_rep(rep, lambda m: q_t.T @ m)
+                reps[b] = _project(rep, q_t.T)
         return q_t, r_t
 
     q, _ = nested_basis(g.row_basis, cut, rmap)
@@ -304,13 +266,10 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
         elif coarse is not pt:
             if pt.is_inadmissible_leaf(pb):
                 nearfield.blocks[b][...] = g.nearfield[pb]
-            elif pt.is_admissible_leaf(pb):
+            else:
                 nearfield.blocks[b][...] = (g.row_basis.leaf_matrix[t]
                                             @ g.coupling[pb]
                                             @ g.col_basis.leaf_matrix[r].T)
-            else:
-                raise StructureError("inadmissible coarse leaf is subdivided "
-                                     "in the product tree")
     return H2Matrix(coarse, qrow, qcol, coupling, nearfield)
 
 

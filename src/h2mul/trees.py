@@ -328,9 +328,10 @@ def build_product_block_tree(bx: BlockTree, by: BlockTree):
 class ColumnTree:
     """Projection of a product-tree sub-block onto its column component.
 
-    A node may carry a representation matrix in ``matrix`` (used by the
-    coarsening stage); admissible leaves represent their columns through
-    the column cluster basis, inadmissible leaves hold explicit columns.
+    A leaf may carry a representation matrix in ``matrix`` (coarsening
+    merges these with ``match_column``); admissible leaves represent
+    their columns through the column cluster basis, inadmissible leaves
+    hold explicit columns.  A tree without matrices is structure only.
     """
 
     __slots__ = ("cluster", "children", "admissible", "matrix")
@@ -351,12 +352,6 @@ class ColumnTree:
         else:
             for c in self.children:
                 yield from c.leaves()
-
-    def structure(self) -> "ColumnTree":
-        """Copy without representation matrices."""
-        return ColumnTree(self.cluster,
-                          [c.structure() for c in self.children],
-                          self.admissible)
 
 
 def sparsity_constant(bt: BlockTree) -> int:

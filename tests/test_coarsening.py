@@ -3,11 +3,12 @@ import sys
 import numpy as np
 import pytest
 
-from h2mul import (ColumnTree, InvalidInputError, build_block_tree,
+import h2mul
+from h2mul import (BlockTree, ColumnTree, InvalidInputError, build_block_tree,
                    build_cluster_tree, build_coarse_col_basis,
                    build_coarse_row_basis, coarsen, dense, expand_basis,
                    match_column, multiply, orthogonalized, project_final,
-                   recompress, to_dense, total_weights, union_column_tree)
+                   recompress, to_dense, total_weights)
 from util import random_basis, random_h2, random_h2_pair, rel_spectral
 
 
@@ -66,6 +67,15 @@ class TestCoarsenTotalWeights:
             assert np.allclose(zmap[t].T @ zmap[t], gram, atol=1e-9)
 
 
+def explicit_columns(ct, w):
+    """The matrix a column tree represents, as explicit columns."""
+    out = np.hstack([leaf.matrix @ expand_basis(w, leaf.cluster).T
+                     if leaf.admissible else leaf.matrix
+                     for leaf in ct.leaves()])
+    assert out.shape[1] == w.tree.stop[ct.cluster] - w.tree.start[ct.cluster]
+    return out
+
+
 class TestMatchColumn:
     def _setup(self, seed=4):
         rng = np.random.default_rng(seed)
@@ -77,7 +87,7 @@ class TestMatchColumn:
         rng, tree, w = self._setup()
         a = rng.standard_normal((5, w.rank[0]))
         ct = ColumnTree(0, (), True, a)
-        out = match_column(ct, ct.structure(), w)
+        out = match_column(ct, ColumnTree(0), w)
         assert out.is_leaf() and out.matrix is a
 
     def test_split_once_preserves_matrix(self):
@@ -126,15 +136,52 @@ class TestMatchColumn:
         assert np.allclose(np.hstack(cols), ref, atol=1e-11)
 
     def test_union_column_tree(self):
-        _, tree, _ = self._setup(8)
+        _, tree, w = self._setup(8)
         root = tree.root
         kids = tree.children[root]
         a = ColumnTree(root, [ColumnTree(kids[0]), ColumnTree(kids[1])])
         b = ColumnTree(root)
-        u = union_column_tree(a, b)
+        u = match_column(a, b, w)
         assert [c.cluster for c in u.children] == list(kids)
-        v = union_column_tree(b, b)
+        v = match_column(b, b, w)
         assert v.is_leaf() and v.admissible
+
+    def test_two_sided_merge_stacks_rows(self):
+        rng, tree, w = self._setup(9)
+        root = tree.root
+        left, right = tree.children[root]
+
+        def deep(c, rows):
+            # refined to the leaves; odd leaves hold explicit columns
+            kids = [deep(c2, rows) for c2 in tree.children[c]]
+            if kids:
+                return ColumnTree(c, kids)
+            adm = c % 2 == 0
+            width = w.rank[c] if adm else tree.stop[c] - tree.start[c]
+            return ColumnTree(c, (), adm, rng.standard_normal((rows, width)))
+
+        def coarse(c, rows):
+            return ColumnTree(c, (), True,
+                              rng.standard_normal((rows, w.rank[c])))
+
+        # each side refined to the leaves where the other is a coarse leaf
+        ct = ColumnTree(root, [deep(left, 3), coarse(right, 3)])
+        other = ColumnTree(root, [coarse(left, 2), deep(right, 2)])
+        out = match_column(ct, other, w)
+        assert tree.children[left] and tree.children[right]
+        assert any(not leaf.admissible for leaf in out.leaves())
+        merged = explicit_columns(out, w)
+        assert merged.shape[0] == 5
+        for rows, part in ((slice(0, 3), ct), (slice(3, 5), other)):
+            ref = explicit_columns(part, w)
+            assert np.linalg.norm(merged[rows] - ref) <= \
+                1e-12 * np.linalg.norm(ref)
+
+    def test_root_mismatch_rejected(self):
+        _, tree, w = self._setup(10)
+        kid = tree.children[tree.root][0]
+        with pytest.raises(InvalidInputError):
+            match_column(ColumnTree(tree.root), ColumnTree(kid), w)
 
 
 class TestBuildCoarseBasis:
@@ -204,6 +251,75 @@ class TestBuildCoarseBasis:
             blk_got = got[sl[0], sl[1]]
             nrm = np.linalg.norm(blk_ref, 2)
             assert np.linalg.norm(blk_got - blk_ref, 2) <= 10 * eps * nrm + 1e-13
+
+
+def refined_parts(pt, reps):
+    """How many parts the merges of subdivided blocks refined: parts whose
+    column tree has fewer leaves than the merged tree of their group."""
+    def nleaves(ct):
+        return sum(1 for _ in ct.leaves())
+
+    count = 0
+    for b, ct in reps.items():
+        groups: dict[int, list[int]] = {}
+        for b2 in pt.children[b]:
+            groups.setdefault(pt.col[b2], []).append(b2)
+        nodes = {ct.cluster: ct} if list(groups) == [pt.col[b]] \
+            else {c.cluster: c for c in ct.children}
+        for r2, parts in groups.items():
+            merged = nleaves(nodes[r2])
+            count += sum((nleaves(reps[p]) if p in reps else 1) < merged
+                         for p in parts)
+    return count
+
+
+class TestRepresentationValues:
+    def test_reps_expand_to_projected_blocks(self):
+        # X != Y; a merge here refines parts through the transfers
+        rng = np.random.default_rng(1)
+        x, y = random_h2_pair(rng, n=64, leaf_size=4)
+        g = multiply(x, y, 1e-4)
+        state = build_coarse_row_basis(g, x.block_tree, 1e-4)
+        pt, w = g.block_tree, g.col_basis
+        assert refined_parts(pt, state.reps) > 0
+        ref = to_dense(g)
+        for b, ct in state.reps.items():
+            t, r = pt.row[b], pt.col[b]
+            got = explicit_columns(ct, w)
+            want = expand_basis(state.q, t).T \
+                @ ref[pt.rows.index_range(t), pt.cols.index_range(r)]
+            assert np.linalg.norm(got - want) <= \
+                1e-12 * np.linalg.norm(want)
+
+
+class TestSubdividedNearfieldRejected:
+    """A coarse tree whose root is one inadmissible leaf, over a product
+    tree that subdivides the root."""
+
+    def _setup(self):
+        p = h2mul.KernelProblem.log_1d(256, order=4)
+        x = h2mul.build_problem(p, eta=2.0).h2
+        g = multiply(x, x, 1e-6)
+        t = g.block_tree.rows
+        assert g.block_tree.children[0]
+        return x, g, BlockTree(t, t, [0], [0], [()], [False])
+
+    def test_coarsen(self):
+        _, g, bad = self._setup()
+        with pytest.raises(InvalidInputError):
+            coarsen(g, bad, 1e-6)
+
+    def test_build_coarse_row_basis(self):
+        _, g, bad = self._setup()
+        with pytest.raises(InvalidInputError):
+            build_coarse_row_basis(g, bad, 1e-6)
+
+    def test_project_final(self):
+        x, g, bad = self._setup()
+        rowstate = build_coarse_row_basis(g, x.block_tree, 1e-6)
+        colstate = build_coarse_col_basis(g, x.block_tree, 1e-6)
+        with pytest.raises(InvalidInputError):
+            project_final(g, rowstate, colstate, bad)
 
 
 class TestProjectFinal:

@@ -19,6 +19,12 @@ def test_every_module_is_listed():
 
 
 @pytest.mark.parametrize("name", MODULES)
+def test_module_in_readme_layout(name):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    assert f"| `h2mul.{name}` |" in readme.read_text()
+
+
+@pytest.mark.parametrize("name", MODULES)
 def test_all_names_exist(name):
     mod = importlib.import_module(f"h2mul.{name}")
     missing = [n for n in getattr(mod, "__all__", []) if not hasattr(mod, n)]
