@@ -11,6 +11,7 @@ matrices, and the final matrix is projected onto them block by block.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -112,6 +113,22 @@ def _validate_coarse(pt: BlockTree, coarse: BlockTree):
                 "product block tree")
 
 
+# (product tree, coarse tree, coverage) while ``coarsen`` runs, which has
+# checked the coarse tree once: its builders and projection reuse that.
+_checked: ContextVar[tuple | None] = ContextVar("h2mul_checked_coarse",
+                                                default=None)
+
+
+def _checked_coverage(pt: BlockTree, coarse: BlockTree) -> list[bool]:
+    """``_coverage`` of a coarse tree checked against pt: the one that
+    ``coarsen`` holds, or a fresh check and map."""
+    held = _checked.get()
+    if held is not None and held[0] is pt and held[1] is coarse:
+        return held[2]
+    _validate_coarse(pt, coarse)
+    return _coverage(pt, coarse)
+
+
 def _coverage(pt: BlockTree, coarse: BlockTree) -> list[bool]:
     """Per product block: does an admissible coarse block contain it?"""
     # per product block: admissibility of the coarse leaf containing it,
@@ -152,11 +169,18 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
     cached ``PackedBlocks.norms``); a negative ``max_rank`` raises
     InvalidInputError.
     """
+    return _coarse_row_basis(g, _checked_coverage(g.block_tree, coarse), tol,
+                             max_rank)
+
+
+def _coarse_row_basis(g: H2Matrix, cov: list[bool], tol: float,
+                      max_rank: int | None) -> CoarsenState:
+    """``build_coarse_row_basis`` for a checked coarse tree, given as the
+    coverage of g's blocks.  Block ids and admissibility are kept under
+    transposition, so the column side passes G^T the same list."""
     if max_rank is not None and max_rank < 0:
         raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
     pt = g.block_tree
-    _validate_coarse(pt, coarse)
-    cov = _coverage(pt, coarse)
     tree = pt.rows
     merge = partial(match_column, w=g.col_basis)
 
@@ -220,8 +244,9 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
 def build_coarse_col_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
                            max_rank: int | None = None) -> CoarsenState:
     """Adaptive column basis: the row construction applied to G^T."""
-    return build_coarse_row_basis(g.transposed(), coarse.transposed(), tol,
-                                  max_rank=max_rank)
+    return _coarse_row_basis(g.transposed(),
+                             _checked_coverage(g.block_tree, coarse), tol,
+                             max_rank)
 
 
 def _lift(node: ColumnTree, chain: np.ndarray, out: np.ndarray,
@@ -250,7 +275,7 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
     shares the refined matrix's nearfield storage.
     """
     pt = g.block_tree
-    _validate_coarse(pt, coarse)
+    _checked_coverage(pt, coarse)
     qrow, qcol = rowstate.q, colstate.q
     coupling = PackedBlocks.zero_couplings(coarse, qrow, qcol)
     nearfield = g.packed_nearfield if coarse is pt \
@@ -276,13 +301,22 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
 def coarsen(g: H2Matrix, coarse: BlockTree, tol: float, *,
             max_rank: int | None = None) -> H2Matrix:
     """Phase 2: coarse row basis, column basis, projection (stages ``t2_row``,
-    ``t2_col``, ``t2_mat``), with one norm pass per block kind of g."""
-    with stage("t2_row"):
-        rowstate = build_coarse_row_basis(g, coarse, tol, max_rank=max_rank)
-    with stage("t2_col"):
-        colstate = build_coarse_col_basis(g, coarse, tol, max_rank=max_rank)
-    with stage("t2_mat"):
-        return project_final(g, rowstate, colstate, coarse)
+    ``t2_col``, ``t2_mat``), with one norm pass per block kind of g and
+    one check and coverage map of the coarse tree."""
+    pt = g.block_tree
+    token = _checked.set(None)
+    try:
+        with stage("t2_row"):
+            _checked.set((pt, coarse, _checked_coverage(pt, coarse)))
+            rowstate = build_coarse_row_basis(g, coarse, tol,
+                                              max_rank=max_rank)
+        with stage("t2_col"):
+            colstate = build_coarse_col_basis(g, coarse, tol,
+                                              max_rank=max_rank)
+        with stage("t2_mat"):
+            return project_final(g, rowstate, colstate, coarse)
+    finally:
+        _checked.reset(token)
 
 
 def orthogonalized(g: H2Matrix) -> H2Matrix:

@@ -2,8 +2,8 @@
 
 All matrices are two-dimensional float64 numpy arrays, C- or
 Fortran-ordered: coupling and nearfield blocks arrive as C-contiguous
-views into their packed block columns, and those of a transposed matrix
-as Fortran-contiguous transposes of these.  The factorizations
+views into their per-shape stacks, and those of a transposed matrix as
+Fortran-contiguous transposes of these.  The factorizations
 delegate to LAPACK through numpy; what this module adds on top is
 input checking, empty-matrix conventions and the truncation rule used
 throughout the compression algorithms.

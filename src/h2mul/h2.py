@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,24 +30,88 @@ __all__ = [
 DENSE_GUARD = 16384
 
 
+class ShapeGroup(NamedTuple):
+    """Matrices of one shape, stacked in one C-ordered float64 array of
+    shape (count, rows, columns); ``ids`` names them (cluster or block
+    ids).  ``row_at`` (count, rows) and ``col_at`` (count, columns) hold
+    the position of every row and column of every matrix in the flat
+    vectors the matvec maps between: points or basis coefficients (for
+    blocks, None until the first matvec)."""
+
+    stack: np.ndarray
+    ids: np.ndarray
+    row_at: np.ndarray
+    col_at: np.ndarray
+
+
+def _zero_groups(shapes, key):
+    """Zero matrices of the given shapes (id -> (rows, columns)), one
+    C-ordered float64 array per value of ``key(id)``, which must fix the
+    shape.  Returns the ShapeGroups, without indices, and the views by
+    id in the order of ``shapes``."""
+    by_key: dict[tuple, list[int]] = {}
+    for i in shapes:
+        by_key.setdefault(key(i), []).append(i)
+    groups, views = [], dict.fromkeys(shapes)
+    for ids in by_key.values():
+        stack = np.zeros((len(ids), *shapes[ids[0]]))
+        views.update(zip(ids, stack))
+        groups.append(ShapeGroup(stack, np.array(ids, np.intp), None, None))
+    return groups, views
+
+
+def _copied_groups(mats, key, row_start, col_start):
+    """``mats`` (id -> matrix) copied into shape groups by ``key(id,
+    matrix)``; matrix i's first row and column sit at ``row_start[i]``
+    and ``col_start[i]``.  Returns the ShapeGroups and the views by id."""
+    groups, views = _zero_groups({i: m.shape for i, m in mats.items()},
+                                 lambda i: key(i, mats[i]))
+    for i, m in mats.items():
+        views[i][...] = m
+    return [g._replace(row_at=_span(row_start[g.ids], g.stack.shape[1]),
+                       col_at=_span(col_start[g.ids], g.stack.shape[2]))
+            for g in groups], views
+
+
+def _span(at: np.ndarray, k: int) -> np.ndarray:
+    """Indices at[i] + j, j < k, as a (len(at), k) array."""
+    return at[:, None] + np.arange(k)
+
+
+def _flat_spans(ats, widths):
+    """``_span(at, k)`` for each pair, as views of one flat array, which
+    is returned first."""
+    spans = [_span(at, k) for at, k in zip(ats, widths)]
+    flat = np.concatenate([s.ravel() for s in spans]) if spans \
+        else np.zeros(0, np.intp)
+    views, pos = [], 0
+    for s in spans:
+        views.append(flat[pos:pos + s.size].reshape(s.shape))
+        pos += s.size
+    return flat, views
+
+
 class ClusterBasis:
     """Family (V_t) of per-cluster matrices nested through transfer matrices.
 
     Leaves store V_t explicitly (size_t x k_t); above a leaf only the
     transfer matrices E_c (k_c x k_t) of its children c are kept, so
     nestedness holds by construction.  Ranks may vary per cluster and may
-    be zero.  The transfers of a parent's children are stored as one
-    stack, ``transfer_stack[t]`` = [E_c1; E_c2; ...], and ``transfer[c]``
-    is a row slice of it; ``leaf_matrix`` and ``transfer`` are read-only
-    mappings.  ``offset[t]`` places cluster t's coefficients in the flat
-    coefficient vector of the matvec (length ``ncoef``), in which the
-    children of every cluster sit side by side.
+    be zero.  The transfers of a parent's children form one stack,
+    ``transfer_stack[t]`` = [E_c1; E_c2; ...], and ``transfer[c]`` is a
+    row slice of it.  The data lives in shape groups: the leaf matrices
+    of one shape are one C-ordered array (leaves, size, k), and the
+    transfer stacks of one shape whose parents sit at one depth are
+    another.  ``leaf_matrix``, ``transfer_stack`` and ``transfer`` are
+    read-only mappings of C-contiguous views into them.  ``offset[t]``
+    places cluster t's coefficients in the flat coefficient vector of
+    the matvec (length ``ncoef``), in which the children of every
+    cluster sit side by side.
     """
 
     def __init__(self, tree: ClusterTree, rank, leaf_matrix, transfer):
         """``transfer`` maps every non-root cluster to its transfer
-        matrix; the children's matrices are copied into their parent's
-        stack."""
+        matrix; the matrices are copied into the shape groups."""
         self._setup(tree, rank, leaf_matrix,
                     {t: np.vstack([transfer[c] for c in children])
                      for t, children in enumerate(tree.children) if children})
@@ -55,7 +119,8 @@ class ClusterBasis:
     @classmethod
     def from_stacks(cls, tree: ClusterTree, rank, leaf_matrix,
                     stacks) -> "ClusterBasis":
-        """Basis whose parents' transfer stacks are given as they are."""
+        """Basis from the parents' transfer stacks, copied into the shape
+        groups."""
         basis = cls.__new__(cls)
         basis._setup(tree, rank, leaf_matrix, stacks)
         return basis
@@ -63,47 +128,37 @@ class ClusterBasis:
     def _setup(self, tree, rank, leaf_matrix, stacks):
         self.tree = tree
         self.rank = list(rank)
-        self.leaf_matrix = MappingProxyType(dict(leaf_matrix))
-        self.transfer_stack = MappingProxyType(dict(stacks))
-        transfer = {}
-        for t, stack in stacks.items():
-            offset = 0
-            for c in tree.children[t]:
-                transfer[c] = stack[offset:offset + self.rank[c]]
-                offset += self.rank[c]
-        self.transfer = MappingProxyType(transfer)
         # breadth-first coefficient offsets: siblings are adjacent
         self.offset = [0] * tree.nnodes
+        depth = [0] * tree.nnodes
         pos, queue = 0, [tree.root]
         for t in queue:
             self.offset[t] = pos
             pos += self.rank[t]
-            queue.extend(tree.children[t])
+            for c in tree.children[t]:
+                depth[c] = depth[t] + 1
+                queue.append(c)
         self.ncoef = pos
-        self._bfs = queue
+        off = np.asarray(self.offset, np.intp)
+        first = np.array([off[c[0]] if c else 0 for c in tree.children],
+                         np.intp)
 
-    @cached_property
-    def _matvec_ops(self):
-        """(leaf, parent) operations of the matvec's basis transforms.
-
-        Leaf entries are (coefficient slice, V_t, point slice); parent
-        entries, in breadth-first order, are (coefficient slice of t,
-        transfer stack of t, coefficient slice of t's children).
-        """
-        tree, off, rank = self.tree, self.offset, self.rank
-        leaves, parents = [], []
-        for t in self._bfs:
-            coef = slice(off[t], off[t] + rank[t])
-            children = tree.children[t]
-            if children:
-                stack = self.transfer_stack[t]
-                first = off[children[0]]
-                parents.append((coef, stack,
-                                slice(first, first + stack.shape[0])))
-            else:
-                leaves.append((coef, self.leaf_matrix[t],
-                               slice(int(tree.start[t]), int(tree.stop[t]))))
-        return leaves, parents
+        self.leaf_groups, views = _copied_groups(
+            leaf_matrix, lambda t, m: m.shape, np.asarray(tree.start, np.intp),
+            off)
+        self.leaf_matrix = MappingProxyType(views)
+        groups, views = _copied_groups(
+            stacks, lambda t, m: (depth[t], *m.shape), first, off)
+        # deepest parents first: the order of the forward transform
+        self.transfer_groups = sorted(groups, key=lambda g: -depth[g.ids[0]])
+        self.transfer_stack = MappingProxyType(views)
+        transfer = {}
+        for t, stack in views.items():
+            start = 0
+            for c in tree.children[t]:
+                transfer[c] = stack[start:start + self.rank[c]]
+                start += self.rank[c]
+        self.transfer = MappingProxyType(transfer)
 
     def expand(self, t: int) -> np.ndarray:
         """Explicit size_t x k_t matrix obtained by stacking transfers."""
@@ -207,88 +262,67 @@ def cluster_basis_product(wx: ClusterBasis, vy: ClusterBasis) -> BasisProduct:
 
 class PackedBlocks:
     """Blocks of one kind (couplings or nearfield) of an H^2-matrix G,
-    one array per block column.
+    one array per block shape.
 
-    The blocks (t1, s), (t2, s), ... of column cluster s are stacked in
-    one C-ordered float64 array, so every block is a C-contiguous view of
-    it, as the dense kernels take them.  The transpose of that array is
-    block row s of G^T in Fortran order: G^T shares the arrays, and each
-    of its blocks is a Fortran-contiguous view.  ``blocks`` is the
-    read-only mapping from block id to view.  ``rows`` lists, per block
-    row of G^T (block column of G), (slice of s in the flat vector on
-    G's column side, the Fortran-ordered block row, the positions of
-    its columns in the flat vector on G's row side); ``index`` is those
-    positions for all rows in order.  The flat vectors are basis
-    coefficients for couplings and points for the nearfield.
-    ``layout`` is the (block tree, row offsets, column offsets) of G the
-    blocks were packed for; ``by_rows`` is true for G^T, whose block
-    rows the arrays are.
+    The blocks of one shape (rows, columns) are stacked in one C-ordered
+    float64 array (count, rows, columns), so every block is a
+    C-contiguous view of it, as the dense kernels take them.  G^T shares
+    the arrays, and each of its blocks is the transpose of a view,
+    Fortran-contiguous.  ``blocks`` is the read-only mapping from block
+    id to view; ``groups`` lists the arrays as ShapeGroups, whose index
+    arrays, built on the first matvec, place the stored blocks' rows and
+    columns in G's flat vectors (basis coefficients for couplings,
+    points for the nearfield).  ``layout`` is the (block tree, row offsets, column
+    offsets) of the matrix the blocks belong to; ``flipped`` is true for
+    G^T, whose blocks are the transposes of the stored ones.
     """
 
-    def __init__(self, blocks, rows, index, layout, by_rows):
+    def __init__(self, blocks, groups, layout, flipped, shared=None):
         self.blocks = blocks
-        self.rows = rows
-        self.index = index
+        self.groups = groups
         self.layout = layout
-        self.by_rows = by_rows
-        self._norms: dict[int, float] = {}  # shared with the transpose
+        self.flipped = flipped
+        # the norms, and the flat row and column indices of the matvec,
+        # built on first use and shared with the transpose
+        self._shared = {"norms": {}} if shared is None else shared
 
     def norms(self) -> dict[int, float]:
         """Spectral norms by block id: one ``spectral_norms`` pass over the
         blocks as G stores them, at the first call (the blocks must be
         final by then); the transpose shares the dict."""
-        if not self._norms and self.blocks:
-            stored = [m.T if self.by_rows else m for m in self.blocks.values()]
-            self._norms.update(zip(self.blocks, spectral_norms(stored)))
-        return self._norms
+        norms = self._shared["norms"]
+        if not norms and self.blocks:
+            stored = [m.T if self.flipped else m for m in self.blocks.values()]
+            norms.update(zip(self.blocks, spectral_norms(stored)))
+        return norms
 
     @classmethod
     def zeros(cls, shapes, block_tree: BlockTree, row_start,
               col_start) -> "PackedBlocks":
         """Zero blocks of the given shapes (block id -> (rows, columns)),
-        one array per block column, for a builder to write into.  The
-        first block of a column sets the column's width."""
-        ids = sorted(shapes)
-        by_col: dict[int, list[int]] = {}
-        for b in ids:
-            by_col.setdefault(block_tree.col[b], []).append(b)
-        views = dict.fromkeys(ids)  # block id order
-        rows, order, heights, height = [], [], [], 0
-        for s, bs in by_col.items():
-            ncols = shapes[bs[0]][1]
-            hs = [shapes[b][0] for b in bs]
-            packed = np.zeros((sum(hs), ncols))
-            offset = 0
-            for b, h in zip(bs, hs):
-                views[b] = packed[offset:offset + h]
-                offset += h
-            start = int(col_start[s])
-            rows.append((slice(start, start + ncols), packed.T,
-                         slice(height, height + offset)))
-            order += bs
-            heights += hs
-            height += offset
-        # packed row j of block b is row row_start[t] + j - first[b] of G
-        heights = np.array(heights, np.intp)
-        first = np.cumsum(heights) - heights
-        trows = [block_tree.row[b] for b in order]
-        index = np.arange(height) + np.repeat(
-            np.asarray(row_start, np.intp)[trows] - first, heights)
-        rows = [(sl, packed, index[part]) for sl, packed, part in rows]
-        return cls(MappingProxyType(views), rows, index,
+        one array per shape, for a builder to write into."""
+        groups, views = _zero_groups({b: shapes[b] for b in sorted(shapes)},
+                                     shapes.get)
+        return cls(MappingProxyType(views), groups,
                    (block_tree, row_start, col_start), False)
 
     @classmethod
     def pack(cls, blocks, block_tree: BlockTree, row_start,
              col_start) -> "PackedBlocks":
-        """A packed copy of a mapping of blocks."""
+        """A packed copy of a mapping of blocks; the blocks of a block
+        column must have one width, those of a block row one height."""
+        width: dict[int, int] = {}
+        height: dict[int, int] = {}
+        for b, m in blocks.items():
+            rows, cols = m.shape
+            if (width.setdefault(block_tree.col[b], cols) != cols
+                    or height.setdefault(block_tree.row[b], rows) != rows):
+                raise InvalidInputError(
+                    f"block {b} has shape {m.shape}, unlike the other blocks "
+                    "of its block row or column")
         out = cls.zeros({b: m.shape for b, m in blocks.items()}, block_tree,
                         row_start, col_start)
         for b, m in blocks.items():
-            if out.blocks[b].shape != m.shape:
-                raise InvalidInputError(f"block {b} is {m.shape[1]} wide, "
-                                        "other blocks of its block column are "
-                                        f"{out.blocks[b].shape[1]}")
             out.blocks[b][...] = m
         return out
 
@@ -315,27 +349,49 @@ class PackedBlocks:
     def transposed(self, block_tree: BlockTree) -> "PackedBlocks":
         """The transposed blocks over ``block_tree``, sharing the arrays."""
         _, row_start, col_start = self.layout
-        out = PackedBlocks(
+        return PackedBlocks(
             MappingProxyType({b: m.T for b, m in self.blocks.items()}),
-            self.rows, self.index, (block_tree, col_start, row_start),
-            not self.by_rows)
-        out._norms = self._norms
-        return out
+            self.groups, (block_tree, col_start, row_start), not self.flipped,
+            self._shared)
+
+    def _flat_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row and the column of every stored entry in G's flat
+        vectors, group by group.  The first call builds them and gives
+        ``groups`` their index views, in place: the transpose shares both."""
+        if "rows" not in self._shared:
+            bt, row_start, col_start = self.layout
+            rows, cols = np.asarray(bt.row), np.asarray(bt.col)
+            if self.flipped:  # the stored rows are this matrix's columns
+                rows, cols = cols, rows
+                row_start, col_start = col_start, row_start
+            row_start = np.asarray(row_start, np.intp)
+            col_start = np.asarray(col_start, np.intp)
+            flat_rows, row_at = _flat_spans(
+                [row_start[rows[g.ids]] for g in self.groups],
+                [g.stack.shape[1] for g in self.groups])
+            flat_cols, col_at = _flat_spans(
+                [col_start[cols[g.ids]] for g in self.groups],
+                [g.stack.shape[2] for g in self.groups])
+            self.groups[:] = [g._replace(row_at=r, col_at=c) for g, r, c
+                              in zip(self.groups, row_at, col_at)]
+            self._shared.update(rows=flat_rows, cols=flat_cols)
+        return self._shared["rows"], self._shared["cols"]
 
     def apply(self, v: np.ndarray, n: int) -> np.ndarray:
         """The blocks applied to the flat vector v, as a new length-n
-        vector: one gather and one product per block row, or, read as
-        block columns, one product per column and one scatter."""
-        if not self.index.size:  # no blocks, or only empty ones
+        vector: one gather and one batched product per shape group and
+        one scatter (``np.bincount``) for all of them."""
+        rows, cols = self._flat_index()
+        index = cols if self.flipped else rows
+        if not index.size:  # no blocks, or only empty ones
             return np.zeros(n)
-        if self.by_rows:
-            out = np.zeros(n)
-            for sl, packed, idx in self.rows:
-                out[sl] += packed @ v[idx]
-            return out
-        vals = np.concatenate([packed.T @ v[sl]
-                               for sl, packed, _ in self.rows])
-        return np.bincount(self.index, vals, minlength=n)
+        if self.flipped:  # v @ stored block, into the block's columns
+            values = [np.matmul(v[g.row_at][:, None, :], g.stack).ravel()
+                      for g in self.groups]
+        else:
+            values = [np.matmul(g.stack, v[g.col_at][:, :, None]).ravel()
+                      for g in self.groups]
+        return np.bincount(index, np.concatenate(values), minlength=n)
 
 
 def _coupling_layout(bt: BlockTree, row_basis: ClusterBasis,
@@ -364,9 +420,8 @@ class H2Matrix:
     matrices, ``nearfield`` maps inadmissible leaf block ids to dense
     blocks.  Both are read-only mappings of views into the only copy of
     the data, ``packed_coupling`` and ``packed_nearfield``
-    (:class:`PackedBlocks`): one C-ordered array per block column s, the
-    blocks (t, s) of the column stacked, which is one Fortran-ordered
-    block row of the transpose.  The constructor takes the blocks as
+    (:class:`PackedBlocks`): one C-ordered 3-d array per block shape,
+    which the transpose shares.  The constructor takes the blocks as
     mappings, which it copies, or as PackedBlocks laid out for the same
     block tree and bases, which it shares: the builders fill
     ``PackedBlocks.zero_couplings``/``zero_nearfield`` in place, so no
@@ -451,11 +506,13 @@ def _validate_basis(basis: ClusterBasis, tree: ClusterTree, side: str):
 def h2_matvec(g: H2Matrix, x, y=None, alpha: float = 1.0) -> np.ndarray:
     """y <- y + alpha * G @ x in O(n k) operations.
 
-    One product per basis leaf and per basis parent in each direction
-    (the children's coefficients sit side by side in one flat vector).
-    The couplings and the nearfield take one product per packed array
-    and one scatter each (``np.bincount``); on a transpose, whose block
-    rows the arrays are, one gather and one product per array.
+    Every stored shape group is one gather, one batched product
+    (``np.matmul`` over the stack) and one write.  The column basis maps
+    x to coefficients leaf groups first, then transfer groups deepest
+    first (the children's coefficients sit side by side in one flat
+    vector); the couplings and the nearfield add one scatter
+    (``np.bincount``) each; the row basis maps back in the reverse
+    order.  On a transpose the same arrays are multiplied from the left.
     """
     x = np.asarray(x, dtype=np.float64)
     nrows, ncols = g.shape
@@ -465,23 +522,22 @@ def h2_matvec(g: H2Matrix, x, y=None, alpha: float = 1.0) -> np.ndarray:
         y = np.zeros(nrows)
     elif y.shape != (nrows,):
         raise InvalidInputError(f"y has shape {y.shape}, expected ({nrows},)")
-    leaves, parents = g.col_basis._matvec_ops
-    xhat = np.empty(g.col_basis.ncoef)
-    for coef, v, pts in leaves:
-        xhat[coef] = v.T @ x[pts]
-    for coef, stack, kids in reversed(parents):
-        xhat[coef] = stack.T @ xhat[kids]
-    yhat = g.packed_coupling.apply(xhat, g.row_basis.ncoef)
+    cb, rb = g.col_basis, g.row_basis
+    xhat = np.empty(cb.ncoef)
+    for src, groups in ((x, cb.leaf_groups), (xhat, cb.transfer_groups)):
+        for gr in groups:
+            xhat[gr.col_at] = np.matmul(src[gr.row_at][:, None, :],
+                                        gr.stack)[:, 0]
+    yhat = g.packed_coupling.apply(xhat, rb.ncoef)
     near = g.packed_nearfield.apply(x, nrows)
     if alpha != 1.0:
         yhat *= alpha
         near *= alpha
     y += near
-    leaves, parents = g.row_basis._matvec_ops
-    for coef, stack, kids in parents:
-        yhat[kids] += stack @ yhat[coef]
-    for coef, v, pts in leaves:
-        y[pts] += v @ yhat[coef]
+    for dst, groups in ((yhat, rb.transfer_groups[::-1]), (y, rb.leaf_groups)):
+        for gr in groups:
+            dst[gr.row_at] += np.matmul(gr.stack,
+                                        yhat[gr.col_at][:, :, None])[..., 0]
     return y
 
 

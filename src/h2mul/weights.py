@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dense import qr_r, spectral_norm
+from .dense import qr_r, spectral_norms
 from .h2 import ClusterBasis, H2Matrix
 
 __all__ = ["BasisWeights", "TotalWeights", "basis_weights", "total_weights"]
@@ -62,30 +62,40 @@ def total_weights(y: H2Matrix, rw: BasisWeights | None,
     ``scaling`` on, each block row is divided by the spectral norm of
     S_sr @ R_r^T, the exact norm of that block's column factor, which
     turns a uniform truncation threshold into block-relative error
-    control; with ``rw=None`` these are the norms of y's couplings,
-    read from the matrix's norm cache (``PackedBlocks.norms``).
-    Zero-norm blocks are skipped: they impose no constraint.
+    control.  All norms come from one batched pass: with ``rw=None``
+    they are the norms of y's couplings, read from the matrix's norm
+    cache (``PackedBlocks.norms``), else one ``spectral_norms`` call over
+    every row block.  Zero-norm blocks are skipped: they impose no
+    constraint.
     """
     bt = y.block_tree
     tree = bt.rows
     vy = y.row_basis
+    leaves = bt.admissible_leaves()
     row_map: dict[int, list[int]] = {s: [] for s in range(tree.nnodes)}
-    for b in bt.admissible_leaves():
+    for b in leaves:
         row_map[bt.row[b]].append(b)
 
-    norms = y.packed_coupling.norms() if scaling and rw is None else None
+    if rw is None:
+        blocks = {b: y.coupling[b].T for b in leaves}
+    else:
+        blocks = {b: rw.r[bt.col[b]] @ y.coupling[b].T for b in leaves}
+    if not scaling:
+        norms = None
+    elif rw is None:
+        norms = y.packed_coupling.norms()
+    else:
+        norms = dict(zip(blocks, spectral_norms(blocks.values())))
     z: dict[int, np.ndarray] = {}
     pushed: dict[int, np.ndarray] = {}  # child -> parent weight, pushed down
     for s in range(tree.nnodes):
         parts = [pushed.pop(s)] if s in pushed else []
         for b in row_map[s]:
-            block = y.coupling[b].T if rw is None \
-                else rw.r[bt.col[b]] @ y.coupling[b].T
-            if scaling:
-                nrm = spectral_norm(block) if norms is None else norms[b]
-                if nrm == 0.0:
+            block = blocks[b]
+            if norms is not None:
+                if norms[b] == 0.0:
                     continue
-                block = block / nrm
+                block = block / norms[b]
             parts.append(block)
         if parts:
             stacked = np.vstack(parts)

@@ -141,10 +141,13 @@ class TestMatvec:
         assert costs[1] <= 1.3 * costs[0]
 
 
-def mixed_rank_h2(rng, rows, cols, eta=1.0, max_rank=3):
-    """Random H^2-matrix whose ranks vary per cluster, zero included."""
+def mixed_rank_h2(rng, rows, cols, eta=1.0, max_rank=3, distinct=False):
+    """Random H^2-matrix whose ranks vary per cluster, zero included;
+    with ``distinct``, cluster t has rank t, so every block has its own
+    shape."""
     def basis(tree):
-        rank = rng.integers(0, max_rank + 1, tree.nnodes)
+        rank = np.arange(tree.nnodes) if distinct \
+            else rng.integers(0, max_rank + 1, tree.nnodes)
         leaf = {t: rng.standard_normal((tree.size(t), rank[t]))
                 for t in tree.leaves()}
         transfer = {c: rng.standard_normal((rank[c], rank[t]))
@@ -187,6 +190,10 @@ def degenerate_instance(case):
                 depths[c] = depths[t] + 1
         assert len({depths[t] for t in tree.leaves()}) > 1
         g = mixed_rank_h2(rng, tree, tree)
+    elif case == "distinct-shapes":
+        g = mixed_rank_h2(rng, line, line, distinct=True)
+        assert len(g.coupling) > 1
+        assert all(len(grp.ids) == 1 for grp in g.packed_coupling.groups)
     else:  # rectangular, distinct cluster trees on both sides
         rows = build_cluster_tree(rng.uniform(0.0, 1.0, (30, 2)), 4)
         cols = build_cluster_tree(rng.uniform(0.5, 2.0, (17, 2)), 3)
@@ -196,7 +203,7 @@ def degenerate_instance(case):
 
 
 DEGENERATE = ["rank-zero", "mixed-ranks", "no-admissible", "empty-nearfield",
-              "uneven-depths", "rectangular"]
+              "uneven-depths", "distinct-shapes", "rectangular"]
 
 
 class TestPackedMatvec:
@@ -232,6 +239,28 @@ class TestPackedMatvec:
         assert np.allclose(x, x0 + 0.25 * (dense.T @ w), atol=1e-12)
 
     @pytest.mark.parametrize("case", DEGENERATE)
+    def test_one_product_per_shape_group(self, case, monkeypatch):
+        g = degenerate_instance(case)
+        v = np.random.default_rng(44).standard_normal(g.shape[1])
+        h2_matvec(g, v)  # the first call builds the block indices
+        calls = []
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul",
+                            lambda *a, **k: calls.append(1) or matmul(*a, **k))
+        # a kind whose blocks are all empty makes no product
+        groups = sum(len(p.groups) for p in (g.packed_coupling,
+                                             g.packed_nearfield)
+                     if any(grp.stack.size for grp in p.groups))
+        for basis in (g.row_basis, g.col_basis):
+            groups += len(basis.leaf_groups) + len(basis.transfer_groups)
+        h2_matvec(g, v)
+        assert len(calls) == groups
+        calls.clear()
+        h2_matvec_adjoint(g, np.random.default_rng(45).standard_normal(
+            g.shape[0]))
+        assert len(calls) == groups
+
+    @pytest.mark.parametrize("case", DEGENERATE)
     def test_double_transpose(self, case):
         g = degenerate_instance(case)
         gtt = g.transposed().transposed()
@@ -239,6 +268,25 @@ class TestPackedMatvec:
         v = np.random.default_rng(43).standard_normal(g.shape[1])
         assert np.allclose(h2_matvec(gtt, v), to_dense(g) @ v, atol=1e-12)
         assert np.allclose(to_dense(gtt), to_dense(g), atol=1e-13)
+
+
+def assert_grouped(groups, store, key):
+    """Every matrix of ``store`` (id -> matrix) is a C-contiguous view of
+    exactly one C-ordered 3-d float64 array of ``groups``, the one of its
+    ``key``, at its position in the group's ids."""
+    stacks = [grp.stack for grp in groups]
+    assert all(s.ndim == 3 and s.flags.c_contiguous and s.dtype == np.float64
+               for s in stacks)
+    assert len(stacks) == len({key(i, m) for i, m in store.items()})
+    assert sorted(i for grp in groups for i in grp.ids) == sorted(store)
+    for grp in groups:
+        assert len({key(i, store[i]) for i in grp.ids}) == 1
+        for j, i in enumerate(grp.ids):
+            m = store[i]
+            assert m.flags.c_contiguous
+            assert m.__array_interface__ == grp.stack[j].__array_interface__
+            owners = [s for s in stacks if np.shares_memory(m, s)]
+            assert len(owners) == 1 and owners[0] is grp.stack
 
 
 class TestPackedStorage:
@@ -257,20 +305,25 @@ class TestPackedStorage:
         g = H2Matrix(bt, basis, basis, coupling, nearfield)
         assert storage_bytes(g) == expected
         gt = g.transposed()
-        assert gt.packed_coupling.rows is g.packed_coupling.rows
         for given, store, packed, store_t in (
                 (coupling, g.coupling, g.packed_coupling, gt.coupling),
                 (nearfield, g.nearfield, g.packed_nearfield, gt.nearfield)):
-            # one array per block column of g, a block row of g^T
-            arrays = [m for _, m, _ in packed.rows]
-            assert all(m.flags.f_contiguous and m.dtype == np.float64
-                       for m in arrays)
-            assert len(arrays) == len({bt.col[b] for b in store})
+            # one C-ordered 3-d array per distinct block shape
+            assert len(packed.groups) == len({m.shape for m in given.values()})
+            assert_grouped(packed.groups, store, lambda b, m: m.shape)
             for b, m in store.items():
                 assert np.array_equal(m, given[b])
-                assert m.flags.c_contiguous and store_t[b].flags.f_contiguous
-                owners = [a for a in arrays if np.shares_memory(m, a)]
-                assert len(owners) == 1
+                assert store_t[b].flags.f_contiguous
+        # leaf matrices by shape, transfer stacks by parent depth and shape
+        depth = [0] * tree.nnodes
+        for t in range(tree.nnodes):
+            for c in tree.children[t]:
+                depth[c] = depth[t] + 1
+        assert_grouped(basis.leaf_groups, basis.leaf_matrix,
+                       lambda t, m: m.shape)
+        assert_grouped(basis.transfer_groups, basis.transfer_stack,
+                       lambda t, m: (depth[t], *m.shape))
+        assert len({depth[t] for t in basis.transfer_stack}) > 1
         for t, stack in basis.transfer_stack.items():
             for c in tree.children[t]:
                 assert np.shares_memory(basis.transfer[c], stack)
@@ -284,7 +337,10 @@ class TestPackedStorage:
             assert np.shares_memory(xt.coupling[b], m)
         for b, m in x.nearfield.items():
             assert np.shares_memory(xt.nearfield[b], m)
-        assert xt.packed_coupling.rows is x.packed_coupling.rows
+        for packed, packed_t in ((x.packed_coupling, xt.packed_coupling),
+                                 (x.packed_nearfield, xt.packed_nearfield)):
+            assert packed_t.groups is packed.groups
+            assert packed_t.norms() is packed.norms()
         ref = weakref.ref(x)
         del x
         assert ref() is None

@@ -151,3 +151,36 @@ class TestTotalWeights:
         tw = total_weights(y, basis_weights(y.col_basis), scaling=True)
         for s, z in tw.z.items():
             assert np.allclose(z, 0.0)
+
+    def test_one_norm_pass_with_basis_weights(self, monkeypatch):
+        from h2mul import weights
+        rng = np.random.default_rng(8)
+        _, y = random_h2_pair(rng, n=48, leaf_size=4)
+        bw = basis_weights(y.col_basis)
+        calls = {"spectral_norm": 0, "spectral_norms": 0}
+        for name in calls:
+            original = getattr(weights, name, None)
+
+            def counted(mats, name=name, original=original):
+                calls[name] += 1
+                return original(mats)
+
+            monkeypatch.setattr(weights, name, counted, raising=False)
+        tw = total_weights(y, bw)
+        assert calls == {"spectral_norm": 0, "spectral_norms": 1}
+        monkeypatch.undo()
+        # Z_s^T Z_s = E_s Z_p^T Z_p E_s^T + the Gram of s's row blocks, each
+        # divided by its spectral norm taken one block at a time
+        bt, basis = y.block_tree, y.row_basis
+        tree = bt.rows
+        parent = {c: t for t in range(tree.nnodes) for c in tree.children[t]}
+        assert bt.admissible_leaves()
+        for s in range(tree.nnodes):
+            rows = [bw.r[bt.col[b]] @ y.coupling[b].T
+                    for b in bt.admissible_leaves() if bt.row[b] == s]
+            gram = sum((m.T @ m / spectral_norm(m) ** 2 for m in rows),
+                       np.zeros((basis.rank[s],) * 2))
+            if s in parent:
+                e, zp = basis.transfer[s], tw.z[parent[s]]
+                gram += e @ zp.T @ zp @ e.T
+            assert np.allclose(tw.z[s].T @ tw.z[s], gram, atol=1e-10)
