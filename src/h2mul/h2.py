@@ -44,33 +44,43 @@ class ShapeGroup(NamedTuple):
     col_at: np.ndarray
 
 
-def _zero_groups(shapes, key):
-    """Zero matrices of the given shapes (id -> (rows, columns)), one
-    C-ordered float64 array per value of ``key(id)``, which must fix the
-    shape.  Returns the ShapeGroups, without indices, and the views by
-    id in the order of ``shapes``."""
-    by_key: dict[tuple, list[int]] = {}
-    for i in shapes:
-        by_key.setdefault(key(i), []).append(i)
-    groups, views = [], dict.fromkeys(shapes)
-    for ids in by_key.values():
-        stack = np.zeros((len(ids), *shapes[ids[0]]))
-        views.update(zip(ids, stack))
-        groups.append(ShapeGroup(stack, np.array(ids, np.intp), None, None))
+def _zero_groups(ids: np.ndarray, rows: np.ndarray, cols: np.ndarray):
+    """Zero matrices of the shapes (rows[i], cols[i]) for the ascending
+    ids, one C-ordered float64 array per shape, in the order of the
+    shapes' first ids.  Returns the ShapeGroups, without indices, and the
+    views by id, in the order of ``ids``."""
+    views = dict.fromkeys(ids.tolist())
+    if not ids.size:
+        return [], views
+    shape = rows * (cols.max() + 1) + cols
+    order = np.lexsort((ids, shape))
+    starts = np.flatnonzero(np.diff(shape[order], prepend=-1))
+    groups = []
+    for at in sorted(np.split(order, starts[1:]), key=lambda at: at[0]):
+        stack = np.zeros((at.size, rows[at[0]], cols[at[0]]))
+        views.update(zip(ids[at].tolist(), stack))
+        groups.append(ShapeGroup(stack, ids[at], None, None))
     return groups, views
 
 
-def _copied_groups(mats, key, row_start, col_start):
-    """``mats`` (id -> matrix) copied into shape groups by ``key(id,
-    matrix)``; matrix i's first row and column sit at ``row_start[i]``
-    and ``col_start[i]``.  Returns the ShapeGroups and the views by id."""
-    groups, views = _zero_groups({i: m.shape for i, m in mats.items()},
-                                 lambda i: key(i, mats[i]))
-    for i, m in mats.items():
-        views[i][...] = m
-    return [g._replace(row_at=_span(row_start[g.ids], g.stack.shape[1]),
-                       col_at=_span(col_start[g.ids], g.stack.shape[2]))
-            for g in groups], views
+def _copied_groups(mats, keys, row_start, col_start):
+    """``mats`` (id -> matrix) copied into shape groups, one per value of
+    ``keys`` (a key per matrix, in the order of ``mats``), with one
+    ``np.array`` call per group; matrix i's first row and column sit at
+    ``row_start[i]`` and ``col_start[i]``.  Returns the ShapeGroups and
+    the views by id."""
+    by_key: dict[tuple, list[int]] = {}
+    for i, key in zip(mats, keys):
+        by_key.setdefault(key, []).append(i)
+    groups, views = [], dict.fromkeys(mats)
+    for ids in by_key.values():
+        stack = np.array([mats[i] for i in ids], np.float64)
+        views.update(zip(ids, stack))
+        at = np.array(ids, np.intp)
+        groups.append(ShapeGroup(stack, at,
+                                 _span(row_start[at], stack.shape[1]),
+                                 _span(col_start[at], stack.shape[2])))
+    return groups, views
 
 
 def _span(at: np.ndarray, k: int) -> np.ndarray:
@@ -127,37 +137,34 @@ class ClusterBasis:
 
     def _setup(self, tree, rank, leaf_matrix, stacks):
         self.tree = tree
-        self.rank = list(rank)
+        self.rank = rank = list(rank)
+        children = tree.children
         # breadth-first coefficient offsets: siblings are adjacent
-        self.offset = [0] * tree.nnodes
-        depth = [0] * tree.nnodes
-        pos, queue = 0, [tree.root]
-        for t in queue:
-            self.offset[t] = pos
-            pos += self.rank[t]
-            for c in tree.children[t]:
-                depth[c] = depth[t] + 1
-                queue.append(c)
-        self.ncoef = pos
-        off = np.asarray(self.offset, np.intp)
-        first = np.array([off[c[0]] if c else 0 for c in tree.children],
+        order = tree.breadth_first
+        ranks = np.asarray(rank, np.intp)
+        off = np.empty(tree.nnodes, np.intp)
+        off[order] = np.cumsum(ranks[order]) - ranks[order]
+        self.offset = offset = off.tolist()
+        self.ncoef = int(ranks.sum())
+        depth = tree.levels.tolist()
+        first = np.array([offset[c[0]] if c else 0 for c in children],
                          np.intp)
 
         self.leaf_groups, views = _copied_groups(
-            leaf_matrix, lambda t, m: m.shape, np.asarray(tree.start, np.intp),
-            off)
+            leaf_matrix, [m.shape for m in leaf_matrix.values()],
+            np.asarray(tree.start, np.intp), off)
         self.leaf_matrix = MappingProxyType(views)
         groups, views = _copied_groups(
-            stacks, lambda t, m: (depth[t], *m.shape), first, off)
+            stacks, [(depth[t], *m.shape) for t, m in stacks.items()],
+            first, off)
         # deepest parents first: the order of the forward transform
         self.transfer_groups = sorted(groups, key=lambda g: -depth[g.ids[0]])
         self.transfer_stack = MappingProxyType(views)
         transfer = {}
         for t, stack in views.items():
-            start = 0
-            for c in tree.children[t]:
-                transfer[c] = stack[start:start + self.rank[c]]
-                start += self.rank[c]
+            at = offset[children[t][0]]
+            for c in children[t]:
+                transfer[c] = stack[offset[c] - at:offset[c] - at + rank[c]]
         self.transfer = MappingProxyType(transfer)
 
     def expand(self, t: int) -> np.ndarray:
@@ -301,10 +308,16 @@ class PackedBlocks:
               col_start) -> "PackedBlocks":
         """Zero blocks of the given shapes (block id -> (rows, columns)),
         one array per shape, for a builder to write into."""
-        groups, views = _zero_groups({b: shapes[b] for b in sorted(shapes)},
-                                     shapes.get)
-        return cls(MappingProxyType(views), groups,
-                   (block_tree, row_start, col_start), False)
+        ids = np.array(sorted(shapes), np.intp)
+        dims = np.array([shapes[b] for b in ids.tolist()],
+                        np.intp).reshape(-1, 2)
+        return cls._zeros(ids, dims[:, 0], dims[:, 1],
+                          (block_tree, row_start, col_start))
+
+    @classmethod
+    def _zeros(cls, ids, rows, cols, layout) -> "PackedBlocks":
+        groups, views = _zero_groups(ids, rows, cols)
+        return cls(MappingProxyType(views), groups, layout, False)
 
     @classmethod
     def pack(cls, blocks, block_tree: BlockTree, row_start,
@@ -332,19 +345,21 @@ class PackedBlocks:
         """Zero couplings of every admissible leaf, laid out for
         ``H2Matrix(block_tree, row_basis, col_basis, ...)``."""
         bt = block_tree
-        shapes = {b: (row_basis.rank[bt.row[b]], col_basis.rank[bt.col[b]])
-                  for b in bt.admissible_leaves()}
-        return cls.zeros(shapes, *_coupling_layout(bt, row_basis, col_basis))
+        ids = np.flatnonzero(bt.admissible_leaf_flags)
+        return cls._zeros(
+            ids, np.asarray(row_basis.rank, np.intp)[np.asarray(bt.row)[ids]],
+            np.asarray(col_basis.rank, np.intp)[np.asarray(bt.col)[ids]],
+            _coupling_layout(bt, row_basis, col_basis))
 
     @classmethod
     def zero_nearfield(cls, block_tree: BlockTree) -> "PackedBlocks":
         """Zero nearfield blocks of every inadmissible leaf."""
         bt = block_tree
-        rows = (bt.rows.stop - bt.rows.start).tolist()  # Python ints: fast
-        cols = (bt.cols.stop - bt.cols.start).tolist()
-        shapes = {b: (rows[bt.row[b]], cols[bt.col[b]])
-                  for b in bt.inadmissible_leaves()}
-        return cls.zeros(shapes, *_nearfield_layout(bt))
+        ids = np.flatnonzero(bt.inadmissible_leaf_flags)
+        return cls._zeros(
+            ids, (bt.rows.stop - bt.rows.start)[np.asarray(bt.row)[ids]],
+            (bt.cols.stop - bt.cols.start)[np.asarray(bt.col)[ids]],
+            _nearfield_layout(bt))
 
     def transposed(self, block_tree: BlockTree) -> "PackedBlocks":
         """The transposed blocks over ``block_tree``, sharing the arrays."""

@@ -4,15 +4,17 @@ The product of two H^2-matrices X (I x J) and Y (J x K) is representable
 exactly over a refined block tree using induced row/column bases of
 large rank.  This module compresses those bases adaptively bottom-up,
 protecting the ranges of the factors' own bases exactly, and then
-assembles the product as an H^2-matrix over the refined tree.
+assembles the product as an H^2-matrix over the refined tree.  The
+assembly works per distinct factor and per shape group, not per term:
+each left and right factor is computed once, the terms of one kind are
+summed by batched GEMMs over buckets of groups of one shape, the outer
+basis change is applied once per product block, and the couplings of
+subdivided blocks are pushed down level by level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import groupby
-from operator import itemgetter
 
 import numpy as np
 
@@ -170,56 +172,332 @@ def compress_induced_col_basis(x: H2Matrix, y: H2Matrix,
                                       **kwargs)
 
 
-def _gemm(left, right) -> np.ndarray:
-    """[L_1 L_2 ...] @ [M_1; M_2; ...] in one product."""
-    if len(left) == 1:
-        return left[0] @ right[0]
-    return np.concatenate(left, axis=1) @ np.concatenate(right, axis=0)
-
-
-def _folded_terms(x: H2Matrix, y: H2Matrix, pxy: BasisProduct,
-                  qrow: InducedBasisResult, qcol: InducedBasisResult,
-                  pt: BlockTree, nodes: np.ndarray, mids: np.ndarray):
-    """Sums of the kind-A terms X|ts Y|sr, (s, r) admissible in Y, per
-    product block: yields ``(block, sum)`` for the blocks in ``nodes``.
-
-    The outer basis change is folded into Y's coupling once per coupling
-    block, M_s = S_Y(s, r) R_r^T with R_r = Q_r^T W_{Y,r} (W_{Y,r} itself
-    at a dense target), so each block costs one GEMM over the
-    concatenated middles, [L_s1 L_s2 ...] @ [M_s1; M_s2; ...], with
-    L_s = Q_t^T X|ts V_{Y,s} (X|ts V_{Y,s} at a dense target).  Where
-    (t, s) is admissible in X too, L_s = Q_t^T V_{X,t} S_X(t, s) and
-    P_s = W_{X,s}^T V_{Y,s} moves into M_s.  The terms run grouped by
-    product column r, and a column's folded couplings live only while
-    its group runs.
-    """
+def _kind_a_factors(x: H2Matrix, y: H2Matrix, pxy: BasisProduct,
+                    qrow: InducedBasisResult, qcol: InducedBasisResult):
+    """The factors of the kind-A terms X|ts Y|sr, (s, r) admissible in Y,
+    for ``_term_sums``: ``left(ts, ss, dense)`` lists the left factors of
+    the pairs (t, s), Q_t^T X|ts V_{Y,s} (the block projection;
+    R_t S_X(t, s) P_s where (t, s) is admissible in X too) or
+    X|ts V_{Y,s} at a dense target; ``right(s, r)`` is S_Y(s, r), and
+    ``outer(r, dense)`` the outer basis change R_r = Q_r^T W_{Y,r}, or
+    W_{Y,r} at a dense target."""
     bx, by = x.block_tree, y.block_tree
-    xv = cache(partial(_xv_at_leaf, x, y, pxy))  # (t, s): X|ts V_{Y,s}
-    order = np.argsort(np.asarray(pt.col)[nodes], kind="stable")
-    ordered = zip(nodes[order].tolist(), mids[order].tolist())
-    for r, column in groupby(ordered, key=lambda term: pt.col[term[0]]):
-        folded: dict[tuple[int, bool, bool], np.ndarray] = {}
-        for node, terms in groupby(column, key=itemgetter(0)):
-            t, dense = pt.row[node], pt.is_inadmissible_leaf(node)
-            left, right = [], []
-            for _, s in terms:
-                factor = (xv(t, s) if dense
-                          else qrow.block_projections.get((t, s)))
-                admissible = factor is None  # (t, s) admissible in X too
-                m = folded.get((s, dense, admissible))
-                if m is None:
-                    outer = (y.col_basis.leaf_matrix[r] if dense
-                             else qcol.basis_change[r])
-                    m = y.coupling[by.index[s, r]] @ outer.T
-                    if admissible:  # P_s moves into m
-                        m = pxy.p[s] @ m
-                    folded[s, dense, admissible] = m
-                if admissible:
-                    factor = (qrow.basis_change[t]
-                              @ x.coupling[bx.index[t, s]])
-                left.append(factor)
-                right.append(m)
-            yield node, _gemm(left, right)
+    adm, leaf = bx.admissible_leaf_flags.tolist(), bx.leaf_flags.tolist()
+
+    def left(ts, ss, dense):
+        # chains of two or three factors, multiplied per run of one shape
+        out: list = [None] * len(ts)
+        chains: dict[tuple, tuple[list, ...]] = {}
+        for i, (t, s) in enumerate(zip(ts, ss)):
+            b = bx.index[t, s]
+            if not dense:
+                out[i] = qrow.block_projections.get((t, s))
+                if out[i] is not None:
+                    continue
+                chain = (qrow.basis_change[t], x.coupling[b], pxy.p[s])
+            elif adm[b]:
+                chain = (x.row_basis.leaf_matrix[t], x.coupling[b], pxy.p[s])
+            elif leaf[b]:
+                chain = (x.nearfield[b], y.row_basis.leaf_matrix[s])
+            else:
+                out[i] = _xv_at_leaf(x, y, pxy, t, s)
+                continue
+            lists = chains.setdefault(
+                tuple(m.shape[1] for m in chain) + chain[0].shape[:1],
+                ([], *([] for _ in chain)))
+            lists[0].append(i)
+            for part, m in zip(lists[1:], chain):
+                part.append(m)
+        for at, *parts in chains.values():
+            prod = np.array(parts[0])
+            for part in parts[1:]:
+                prod = prod @ np.array(part)
+            for i, m in zip(at, prod):
+                out[i] = m
+        return out
+
+    def outer(r, dense):
+        return (y.col_basis.leaf_matrix[r] if dense
+                else qcol.basis_change[r])
+
+    return left, lambda s, r: y.coupling[by.index[s, r]], outer
+
+
+def _runs(*keys: np.ndarray) -> np.ndarray:
+    """Starts of the runs of equal keys in sorted key arrays."""
+    new = np.zeros(keys[0].size, bool)
+    new[0] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(new)
+
+
+def _starts(key: np.ndarray):
+    """The index of each entry's run's first entry in a sorted key array,
+    as the arguments of ``np.repeat``."""
+    at = _runs(key)
+    return at, np.diff(at, append=key.size)
+
+
+def _run_ids(*keys: np.ndarray) -> np.ndarray:
+    """The index of each entry's run of equal keys in sorted key arrays."""
+    new = np.zeros(keys[0].size, np.intp)
+    new[_runs(*keys)[1:]] = 1
+    return np.cumsum(new)
+
+
+# Accumulator entries per tile of block rows in ``_term_sums``: the
+# groups of one tile are evaluated together, which bounds the
+# temporaries of one batched GEMM.
+TILE = 1 << 17
+
+
+def _term_sums(pt: BlockTree, blocks: np.ndarray, mids: np.ndarray,
+               ranks, left, right, outer):
+    """Sum_s left(t, s) right(s, r) over the terms (block, s) of one kind,
+    with the outer factor applied once per product block (t, r).
+
+    ``blocks`` and ``mids`` are a kind's term arrays; ``ranks`` are the
+    ranks per cluster of the product's row and column bases, which give
+    a block's shape (the cluster sizes give it at a dense target).  The
+    terms fall into groups of one (t, s) and target kind (dense or not),
+    one per distinct left factor; ``left(ts, ss, dense)`` returns those
+    of the groups of one tile (below), each computed once.  Each right
+    factor ``right(s, r)`` is read once per distinct (s, r); their
+    transposes, zero-padded to the widest, are stacked per row count.
+    The sums accumulate transposed, one array per target kind and
+    height, in which the blocks of a block row t sit side by side, and a
+    group adds the product of its left factor and its gathered right
+    factors to the blocks (t, r) of its columns r.
+
+    The groups are evaluated in buckets of one shape, per tile of block
+    rows whose sums fill at most ``TILE`` entries: the groups of each
+    row, largest first, are dealt out in rounds, so a bucket holds at
+    most one group per row and its additions never meet.  A bucket costs
+    one stack of its left factors, one gather of its right factors, one
+    batched GEMM and one indexed addition; groups with fewer terms than
+    the bucket's largest are padded with a zero right factor added to a
+    spare block.  Then, per run of blocks of one shape, the stacked
+    ``outer(r, dense)`` multiply the sums in one batched product (with
+    ``outer`` None they are taken as they are).  Yields ``(ids, sums)``:
+    block ids and the (count, rows, columns) stack of their sums.
+    """
+    if not blocks.size:
+        return
+    ncols = pt.cols.nnodes
+    pair, pair_of = np.unique(mids * ncols + np.asarray(pt.col)[blocks],
+                              return_inverse=True)
+    mats = [right(p // ncols, p % ncols) for p in pair.tolist()]
+    inner = np.array([m.shape[0] for m in mats], np.intp)
+    width = np.array([m.shape[1] for m in mats], np.intp)
+    pad = int(width.max())
+    right_t, pair_at = {}, np.empty(pair.size, np.intp)
+    for k in np.unique(inner).tolist():
+        sel = np.flatnonzero(inner == k)
+        stack = right_t[k] = np.zeros((sel.size + 1, pad, k))  # last: 0
+        for m, i in zip(stack, sel.tolist()):
+            m[:width[i]] = mats[i].T
+        pair_at[sel] = np.arange(sel.size)
+    del mats
+
+    # the blocks: target kind and shape; in each (dense, height) key the
+    # block rows are cut into tiles of at most TILE accumulator entries,
+    # and a block's slot is its place in its tile, where the blocks of a
+    # row sit side by side
+    ids, first, block_of = np.unique(blocks, return_index=True,
+                                     return_inverse=True)
+    dense = pt.inadmissible_leaf_flags[ids]
+    t_of, r_of = np.asarray(pt.row)[ids], np.asarray(pt.col)[ids]
+    rows, cols = pt.rows, pt.cols
+    height = np.where(dense, (rows.stop - rows.start)[t_of],
+                      np.asarray(ranks[0], np.intp)[t_of])
+    bwidth = width[pair_of[first]]
+    out_w = bwidth if outer is None else np.where(
+        dense, (cols.stop - cols.start)[r_of],
+        np.asarray(ranks[1], np.intp)[r_of])
+    key = dense * (height.max() + 1) + height
+    order = np.lexsort((ids, t_of, key))
+    pos = np.arange(ids.size) - np.repeat(*_starts(key[order]))
+    row_at = _runs(key[order], t_of[order])
+    tile = np.empty(ids.size, np.intp)
+    tile[order] = np.repeat(pos[row_at], np.diff(row_at, append=ids.size)) \
+        * pad * height[order] // TILE
+    tile[order] = _run_ids(key[order], tile[order])
+    slot = np.empty(ids.size, np.intp)
+    slot[order] = np.arange(ids.size) - np.repeat(*_starts(tile[order]))
+    tile_at = _runs(tile[order]).tolist() + [ids.size]
+    leaf = pt.leaf_flags[ids]  # leaves and subdivided blocks: apart
+    shapes = np.lexsort((ids, leaf, out_w, bwidth, tile))
+    shape_at = _runs(tile[shapes], bwidth[shapes], out_w[shapes],
+                     leaf[shapes])
+    shape_cut = np.searchsorted(tile[shapes][shape_at],
+                                np.arange(len(tile_at))).tolist()
+    shape_at = shape_at.tolist() + [ids.size]
+
+    # the terms in groups of one (t, s) and tile; the groups in buckets
+    # of one (tile, round, inner size)
+    term_tile, term_t = tile[block_of], t_of[block_of]
+    torder = np.lexsort((mids, term_t, term_tile))
+    group_at = _runs(term_tile[torder], term_t[torder], mids[torder])
+    term_pair = pair_at[pair_of[torder]]
+    term_slot = slot[block_of[torder]]
+    first_term = torder[group_at]
+    g_tile, g_t = term_tile[first_term], term_t[first_term]
+    g_s, g_inner = mids[first_term], inner[pair_of[first_term]]
+    g_size = np.diff(group_at, append=torder.size)
+    del pair_of, block_of, torder, first_term
+    g_row = _run_ids(g_tile, g_t)
+    by_size = np.lexsort((-g_size, g_row))
+    rnd = np.empty(g_t.size, np.intp)
+    rnd[by_size] = np.arange(g_t.size) - np.repeat(*_starts(g_row[by_size]))
+    gorder = np.lexsort((g_inner, rnd, g_tile))
+    buckets = np.split(gorder, _runs(g_tile[gorder], rnd[gorder],
+                                     g_inner[gorder])[1:])
+    bucket_cut = np.searchsorted(g_tile[[g[0] for g in buckets]],
+                                 np.arange(len(tile_at))).tolist()
+    group_cut = np.searchsorted(g_tile, np.arange(len(tile_at))).tolist()
+
+    for i, (a, b) in enumerate(zip(tile_at[:-1], tile_at[1:])):
+        d, h = bool(dense[order[a]]), int(height[order[a]])
+        g0, g1 = group_cut[i], group_cut[i + 1]
+        factors = left(g_t[g0:g1].tolist(), g_s[g0:g1].tolist(), d)
+        acc = np.zeros((b - a + 1, pad, h))  # last: the spare block
+        for g in buckets[bucket_cut[i]:bucket_cut[i + 1]]:
+            k, most = int(g_inner[g[0]]), int(g_size[g].max())
+            at = group_at[g][:, None] + np.arange(most)
+            real = np.arange(most) < g_size[g][:, None]
+            at = np.where(real, at, 0)
+            lt = np.array([factors[j].T for j in (g - g0).tolist()])
+            part = right_t[k][np.where(real, term_pair[at], -1)] \
+                .reshape(g.size, most * pad, k) @ lt
+            acc[np.where(real, term_slot[at], b - a).ravel()] += \
+                part.reshape(-1, pad, h)
+        for c0, c1 in zip(shape_at[shape_cut[i]:shape_cut[i + 1]],
+                          shape_at[shape_cut[i] + 1:shape_cut[i + 1] + 1]):
+            run = shapes[c0:c1]
+            sums = acc[slot[run], :bwidth[run[0]]].transpose(0, 2, 1)
+            if outer is not None:
+                sums = sums @ np.array([outer(r, d) for r
+                                        in r_of[run].tolist()]) \
+                    .transpose(0, 2, 1)
+            yield ids[run], sums
+        del acc, factors
+
+
+def _locate(groups, n: int):
+    """Per id below n: the index of the ShapeGroup that holds it (-1 for
+    none) and its position in that group's stack."""
+    group_of = np.full(n, -1, np.intp)
+    pos_of = np.zeros(n, np.intp)
+    for i, g in enumerate(groups):
+        group_of[g.ids] = i
+        pos_of[g.ids] = np.arange(g.ids.size)
+    return group_of, pos_of
+
+
+def _adder(nblocks: int, *packed: PackedBlocks):
+    """``add(ids, parts)``: adds parts[i] to block ids[i], in whichever of
+    the PackedBlocks holds it, with one indexed addition per group."""
+    groups = [g for p in packed for g in p.groups]
+    group_of, pos_of = _locate(groups, nblocks)
+
+    def add(ids, parts):
+        at = group_of[ids]
+        if (at == at[0]).all():
+            groups[at[0]].stack[pos_of[ids]] += parts
+            return
+        for i in np.unique(at).tolist():
+            sel = at == i
+            groups[i].stack[pos_of[ids[sel]]] += parts[sel]
+    return add
+
+
+def _buckets(*keys: np.ndarray):
+    """Rows of equal key columns: each row's bucket index, and per bucket
+    the positions of its rows."""
+    order = np.lexsort(keys[::-1])
+    starts = _runs(*(k[order] for k in keys))
+    inv = np.empty(order.size, np.intp)
+    inv[order] = np.repeat(np.arange(starts.size),
+                           np.diff(starts, append=order.size))
+    return inv, np.split(order, starts[1:])
+
+
+def _basis_index(q: ClusterBasis):
+    """Per cluster: the first row of its transfer matrix in its parent's
+    stack, its rank, and its place in the transfer groups (as a parent)
+    and in the leaf groups."""
+    n = q.tree.nnodes
+    at = np.zeros(n, np.intp)
+    for children in q.tree.children:
+        for c in children:
+            at[c] = q.offset[c] - q.offset[children[0]]
+    return (at, np.asarray(q.rank, np.intp), *_locate(q.transfer_groups, n),
+            *_locate(q.leaf_groups, n))
+
+
+def _push_down(pt: BlockTree, pending: PackedBlocks, q_r: ClusterBasis,
+               q_c: ClusterBasis, levels, add):
+    """Moves the couplings of subdivided blocks down to the leaves, level
+    by level.  Per chunk of parents of one shape (at most ``TILE``
+    product entries), one gather and one batched product with the
+    transfer stacks of their row and column clusters
+    (``ClusterBasis.transfer_stack``); then per run of their children of
+    one shape, one gather of the children's rows and columns from those
+    products, through the leaf bases at a dense leaf, and one indexed
+    addition."""
+    row, col = np.asarray(pt.row), np.asarray(pt.col)
+    pend_g, pend_p = _locate(pending.groups, pt.nblocks)
+    at_r, rank_r, tg_r, tp_r, lg_r, lp_r = _basis_index(q_r)
+    at_c, rank_c, tg_c, tp_c, lg_c, lp_c = _basis_index(q_c)
+    for level in levels:
+        lv = np.array(level, np.intp)
+        t, r = row[lv], col[lv]
+        split_t, split_r = tg_r[t], tg_c[r]  # -1: the cluster is a leaf
+        chunks, chunk_of = [], np.empty(lv.size, np.intp)
+        at_chunk = np.empty(lv.size, np.intp)
+        for sel in _buckets(pend_g[lv], split_t, split_r)[1]:
+            h = (q_r.transfer_groups[split_t[sel[0]]].stack.shape[1]
+                 if split_t[sel[0]] >= 0 else rank_r[t[sel[0]]])
+            w = (q_c.transfer_groups[split_r[sel[0]]].stack.shape[1]
+                 if split_r[sel[0]] >= 0 else rank_c[r[sel[0]]])
+            step = max(1, TILE // max(1, h * w))
+            for c in range(0, sel.size, step):
+                chunk_of[sel[c:c + step]] = len(chunks)
+                at_chunk[sel[c:c + step]] = np.arange(sel[c:c + step].size)
+                chunks.append(sel[c:c + step])
+
+        par = np.repeat(np.arange(lv.size),
+                        [len(pt.children[b]) for b in level])
+        kids = np.array([c for b in level for c in pt.children[b]], np.intp)
+        t2, r2 = row[kids], col[kids]
+        i0 = np.where(t2 != t[par], at_r[t2], 0)
+        j0 = np.where(r2 != r[par], at_c[r2], 0)
+        dense = pt.inadmissible_leaf_flags[kids]
+        _, kid_buckets = _buckets(chunk_of[par], i0, j0, rank_r[t2],
+                                  rank_c[r2], np.where(dense, lg_r[t2], -1),
+                                  np.where(dense, lg_c[r2], -1))
+        kid_cut = np.searchsorted(chunk_of[par[[k[0] for k in kid_buckets]]],
+                                  np.arange(len(chunks) + 1)).tolist()
+        for n, sel in enumerate(chunks):
+            prod = pending.groups[pend_g[lv[sel[0]]]].stack[pend_p[lv[sel]]]
+            if split_t[sel[0]] >= 0:
+                prod = q_r.transfer_groups[split_t[sel[0]]].stack[
+                    tp_r[t[sel]]] @ prod
+            if split_r[sel[0]] >= 0:
+                prod = prod @ q_c.transfer_groups[split_r[sel[0]]].stack[
+                    tp_c[r[sel]]].transpose(0, 2, 1)
+            for ks in kid_buckets[kid_cut[n]:kid_cut[n + 1]]:
+                first = ks[0]
+                i, j = i0[first], j0[first]
+                parts = prod[at_chunk[par[ks]], i:i + rank_r[t2[first]],
+                             j:j + rank_c[r2[first]]]
+                if dense[first]:
+                    parts = (q_r.leaf_groups[lg_r[t2[first]]].stack[
+                        lp_r[t2[ks]]] @ parts
+                        @ q_c.leaf_groups[lg_c[r2[first]]].stack[
+                            lp_c[r2[ks]]].transpose(0, 2, 1))
+                add(kids[ks], parts)
 
 
 def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
@@ -229,73 +507,70 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
     ``build_product_block_tree`` lists, per kind, the middles s whose
     triple (t, s, r) terminates at each product block: (s, r) admissible
     (kind A, which also takes the doubly admissible case), (t, s)
-    admissible (kind B), or both factors dense (kind C).  Each block and
-    kind costs one GEMM over its concatenated middles, added to the
-    block's coupling, or to its nearfield if it is a dense leaf.  Kind B
-    is kind A of Y^T X^T (``_folded_terms``), kind C the product of the
-    side-by-side X|ts by the stacked Y|sr.  Couplings that accumulate on
-    subdivided product blocks are pushed down through the transfer
-    matrices afterwards, which is exact.  Contributions to dense product
-    blocks are evaluated exactly, without projecting onto the compressed
-    bases.
+    admissible (kind B), or both factors dense (kind C).  Each kind is
+    summed by ``_term_sums``, whose work is per distinct factor and per
+    shape group, not per term.  Kind A computes each left factor once
+    per distinct (t, s): Q_t^T X|ts V_{Y,s} (the block projection),
+    R_t S_X(t, s) P_s where (t, s) is admissible in X too, or
+    X|ts V_{Y,s} at a dense target.  It reads each coupling S_Y(s, r)
+    once per distinct (s, r), forms the sums over s in Y's column-rank
+    space and applies R_r^T = (Q_r^T W_{Y,r})^T, or W_{Y,r}^T at a dense
+    target, once per block.  Kind B is kind A of Y^T X^T, and kind C sums
+    X's dense blocks times Y's.  The sums are added to the block's
+    coupling, to its nearfield at a dense leaf, or, at a subdivided
+    block, to a pending coupling; ``_push_down`` moves those to the
+    leaves level by level through the transfer stacks, which is exact.
+    Contributions to dense product blocks are evaluated exactly, without
+    projecting onto the compressed bases.
     """
     bx, by = x.block_tree, y.block_tree
     pt, terms = build_product_block_tree(bx, by)
     q_r, q_c = qrow.q, qcol.q
-
     coupling = PackedBlocks.zero_couplings(pt, q_r, q_c)
     nearfield = PackedBlocks.zero_nearfield(pt)
-    near = nearfield.blocks
-    pending: dict[int, np.ndarray] = {}  # couplings of subdivided blocks
 
-    def add(node, part):
-        if pt.is_leaf(node):
-            target = (near[node] if pt.is_inadmissible_leaf(node)
-                      else coupling.blocks[node])
-            target += part
-        elif node in pending:
-            pending[node] += part
-        else:
-            pending[node] = part
+    # the subdivided blocks that receive a coupling: those where a term
+    # ends, and their subdivided children; level 0 has no such parent
+    flags = np.zeros(pt.nblocks, bool)
+    flags[terms[KIND_A][0]] = flags[terms[KIND_B][0]] = True
+    flags = (flags & ~pt.leaf_flags).tolist()
+    leaf = pt.leaf_flags.tolist()
+    level: dict[int, int] = {}
+    for b in range(pt.nblocks):  # preorder: parents first
+        if flags[b]:
+            below = level.setdefault(b, 0) + 1
+            for c in pt.children[b]:
+                if not leaf[c]:
+                    flags[c] = True
+                    level[c] = below
+    levels: list[list[int]] = [[] for _ in range(max(level.values(),
+                                                     default=-1) + 1)]
+    for b, lv in level.items():
+        levels[lv].append(b)
+    pending = PackedBlocks.zeros(
+        {b: (q_r.rank[pt.row[b]], q_c.rank[pt.col[b]]) for b in level},
+        pt, q_r.offset, q_c.offset)
+    add = _adder(pt.nblocks, coupling, nearfield, pending)
 
-    for node, part in _folded_terms(x, y, pxy, qrow, qcol, pt,
-                                    *terms[KIND_A]):
-        add(node, part)
+    ranks = (q_r.rank, q_c.rank)
+    for ids, sums in _term_sums(pt, *terms[KIND_A], ranks,
+                                *_kind_a_factors(x, y, pxy, qrow, qcol)):
+        add(ids, sums)
     # kind B is kind A of the transposed product Y^T X^T
-    for node, part in _folded_terms(y.transposed(), x.transposed(),
-                                    pxy.transposed(), qcol, qrow,
-                                    pt.transposed(), *terms[KIND_B]):
-        add(node, part.T)
-    blocks, mids = terms[KIND_C]
-    for node, group in groupby(zip(blocks.tolist(), mids.tolist()),
-                               key=itemgetter(0)):
-        t, r = pt.row[node], pt.col[node]
-        middles = [s for _, s in group]
-        add(node, _gemm([x.nearfield[bx.index[t, s]] for s in middles],
-                        [y.nearfield[by.index[s, r]] for s in middles]))
-    del terms, blocks, mids  # free the term arrays early
-
-    # push couplings accumulated on subdivided blocks down to the leaves
-    for node in range(pt.nblocks):
-        if node not in pending:
-            continue
-        s_tr = pending.pop(node)
-        t, r = pt.row[node], pt.col[node]
-        for child in pt.children[node]:
-            t2, r2 = pt.row[child], pt.col[child]
-            left = q_r.transfer[t2] if t2 != t else None
-            right = q_c.transfer[r2] if r2 != r else None
-            part = left @ s_tr if left is not None else s_tr
-            part = part @ right.T if right is not None else part
-            if pt.is_inadmissible_leaf(child):
-                near[child][...] += (q_r.leaf_matrix[t2] @ part
-                                     @ q_c.leaf_matrix[r2].T)
-            elif pt.is_leaf(child):
-                coupling.blocks[child][...] += part
-            elif child in pending:
-                pending[child] = pending[child] + part
-            else:
-                pending[child] = part
+    for ids, sums in _term_sums(pt.transposed(), *terms[KIND_B], ranks[::-1],
+                                *_kind_a_factors(y.transposed(),
+                                                 x.transposed(),
+                                                 pxy.transposed(), qcol,
+                                                 qrow)):
+        add(ids, sums.transpose(0, 2, 1))
+    for ids, sums in _term_sums(
+            pt, *terms[KIND_C], ranks,
+            lambda ts, ss, dense: [x.nearfield[bx.index[t, s]]
+                                   for t, s in zip(ts, ss)],
+            lambda s, r: y.nearfield[by.index[s, r]], None):
+        add(ids, sums)
+    del terms  # free the term arrays early
+    _push_down(pt, pending, q_r, q_c, levels, add)
     return H2Matrix(pt, q_r, q_c, coupling, nearfield)
 
 

@@ -71,13 +71,21 @@ class ClusterTree:
         return slice(self.start[t], self.stop[t])
 
     def depth(self) -> int:
-        depth = [0] * self.nnodes
-        out = 0
-        for t in range(self.nnodes):
-            for c in self.children[t]:
-                depth[c] = depth[t] + 1
-                out = max(out, depth[c])
-        return out
+        return int(self.levels.max())
+
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """Per node: its depth below the root (built on first use)."""
+        level = np.zeros(self.nnodes, np.intp)
+        for t, children in enumerate(self.children):  # parents first
+            for c in children:
+                level[c] = level[t] + 1
+        return level
+
+    @cached_property
+    def breadth_first(self) -> np.ndarray:
+        """The nodes in breadth-first order: by depth, then preorder."""
+        return np.lexsort((np.arange(self.nnodes), self.levels))
 
 def build_cluster_tree(points, leaf_size: int) -> ClusterTree:
     """Median bisection along the longest bounding-box axis.
@@ -177,6 +185,22 @@ class BlockTree:
     def nblocks(self) -> int:
         return len(self.row)
 
+    @cached_property
+    def leaf_flags(self) -> np.ndarray:
+        """Per block: is it a leaf (bool array, built on first use)."""
+        return np.fromiter(map(len, self.children), np.intp,
+                           self.nblocks) == 0
+
+    @cached_property
+    def admissible_leaf_flags(self) -> np.ndarray:
+        """Per block: is it an admissible leaf."""
+        return self.leaf_flags & np.asarray(self.admissible, bool)
+
+    @cached_property
+    def inadmissible_leaf_flags(self) -> np.ndarray:
+        """Per block: is it an inadmissible (dense) leaf."""
+        return self.leaf_flags & ~np.asarray(self.admissible, bool)
+
     def is_leaf(self, b: int) -> bool:
         return not self.children[b]
 
@@ -187,18 +211,24 @@ class BlockTree:
         return not self.children[b] and not self.admissible[b]
 
     def leaves(self) -> list[int]:
-        return [b for b in range(self.nblocks) if not self.children[b]]
+        return np.flatnonzero(self.leaf_flags).tolist()
 
     def admissible_leaves(self) -> list[int]:
-        return [b for b in self.leaves() if self.admissible[b]]
+        return np.flatnonzero(self.admissible_leaf_flags).tolist()
 
     def inadmissible_leaves(self) -> list[int]:
-        return [b for b in self.leaves() if not self.admissible[b]]
+        return np.flatnonzero(self.inadmissible_leaf_flags).tolist()
 
     def transposed(self) -> "BlockTree":
-        """Same tree with row/column roles swapped; block ids are kept."""
-        return BlockTree(self.cols, self.rows, self.col, self.row,
-                         self.children, self.admissible)
+        """Same tree with row/column roles swapped; block ids are kept, and
+        so are the flag arrays built so far."""
+        out = BlockTree(self.cols, self.rows, self.col, self.row,
+                        self.children, self.admissible)
+        for name in ("leaf_flags", "admissible_leaf_flags",
+                     "inadmissible_leaf_flags"):
+            if name in self.__dict__:
+                out.__dict__[name] = self.__dict__[name]
+        return out
 
 
 def same_cluster_tree(a: ClusterTree, b: ClusterTree) -> bool:
@@ -278,10 +308,9 @@ def build_product_block_tree(bx: BlockTree, by: BlockTree):
         raise InvalidInputError("factors do not share the middle cluster tree")
     rows, cols, mid = bx.rows, by.cols, bx.cols
     xi, yi = bx.index, by.index
-    xleaf = [not c for c in bx.children]
-    yleaf = [not c for c in by.children]
-    xadm = [a and leaf for a, leaf in zip(bx.admissible, xleaf)]
-    yadm = [a and leaf for a, leaf in zip(by.admissible, yleaf)]
+    xleaf, yleaf = bx.leaf_flags.tolist(), by.leaf_flags.tolist()
+    xadm = bx.admissible_leaf_flags.tolist()
+    yadm = by.admissible_leaf_flags.tolist()
     row, col, children, adm = [], [], [], []
     ended = ([], []), ([], []), ([], [])  # per kind: blocks, middles
 

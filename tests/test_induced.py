@@ -227,20 +227,48 @@ def per_term_product(x, y, qrow, qcol, pxy):
 
 
 class TestAssembleProduct:
-    @pytest.mark.parametrize("case", ["log-1d", "unbalanced", "dense-only"])
+    @pytest.mark.parametrize("case", ["log-1d", "unbalanced", "dense-only",
+                                      "slp-sphere", "dlp-slp-cube",
+                                      "max-rank"])
     def test_matches_per_term_reference(self, case):
+        max_rank = None
         if case == "log-1d":
             x = y = build_problem(KernelProblem.log_1d(256), eta=2.0).h2
         elif case == "unbalanced":
             x, y = unbalanced_pair()
-        else:  # no admissible block: every term is dense times dense
+        elif case == "dense-only":  # every term is dense times dense
             x, y = random_h2_pair(np.random.default_rng(77), n=32,
                                   leaf_size=4, eta=1e-9)
             _, terms = build_product_block_tree(x.block_tree, y.block_tree)
             assert not terms[KIND_A][0].size and not terms[KIND_B][0].size
+        elif case == "slp-sphere":
+            x = y = build_problem(KernelProblem.slp_sphere(512, order=3),
+                                  eta=2.0).h2
+            pt, terms = build_product_block_tree(x.block_tree, y.block_tree)
+            blocks, mids = terms[KIND_A]
+            t = np.asarray(pt.row)[blocks]
+            doubly = np.array([x.block_tree.is_admissible_leaf(
+                x.block_tree.index[a, b]) for a, b in zip(t, mids)])
+            dense = pt.inadmissible_leaf_flags[blocks]
+            assert (doubly & ~dense).any() and dense.any()
+            assert not pt.leaf_flags[np.concatenate(
+                [blocks, terms[KIND_B][0]])].all()
+        elif case == "dlp-slp-cube":  # X != Y, distinct row and col bases
+            x = build_problem(KernelProblem.dlp_cube(192, order=3),
+                              eta=2.0).h2
+            y = build_problem(KernelProblem("cube-surface", "single-layer",
+                                            192, 3), eta=2.0).h2
+            assert x.row_basis.rank != x.col_basis.rank
+        else:  # induced bases capped by max_rank
+            x = y = build_problem(KernelProblem.log_1d(256), eta=2.0).h2
+            max_rank = 5
         pxy, zy, zxt = phase1_inputs(x, y)
-        qrow = compress_induced_row_basis(x, y, zy, pxy, 1e-4)
-        qcol = compress_induced_col_basis(x, y, zxt, pxy, 1e-4)
+        qrow = compress_induced_row_basis(x, y, zy, pxy, 1e-4,
+                                          max_rank=max_rank)
+        qcol = compress_induced_col_basis(x, y, zxt, pxy, 1e-4,
+                                          max_rank=max_rank)
+        if max_rank is not None:
+            assert max(qrow.q.rank) == max(qcol.q.rank) == max_rank
         got = to_dense(assemble_product(x, y, qrow, qcol, pxy))
         ref = per_term_product(x, y, qrow, qcol, pxy)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
