@@ -13,7 +13,7 @@ from .coarsening import (CoarsenState, build_coarse_col_basis,
                          orthogonalized, project_final, recompress)
 from .dense import (TruncatedSVD, full_householder_qr, spectral_norm,
                     truncated_svd)
-from .errors import InvalidInputError, StructureError
+from .errors import InvalidInputError
 from .h2 import (BasisProduct, ClusterBasis, H2Matrix, PackedBlocks,
                  cluster_basis_product, expand_basis, h2_matvec,
                  h2_matvec_adjoint, matvec_cost, nested_basis,

@@ -1,13 +1,6 @@
-"""Exception types shared across the package."""
+"""The exception type shared across the package."""
 
 
 class InvalidInputError(ValueError):
     """Raised when an argument violates a documented precondition."""
 
-
-class StructureError(RuntimeError):
-    """Raised when an internal structural invariant is violated.
-
-    Seeing this exception means a tree or basis was built inconsistently;
-    it is not recoverable by the caller.
-    """

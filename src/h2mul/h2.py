@@ -361,6 +361,16 @@ class PackedBlocks:
             (bt.cols.stop - bt.cols.start)[np.asarray(bt.col)[ids]],
             _nearfield_layout(bt))
 
+    def add(self, ids: np.ndarray, parts: np.ndarray):
+        """Adds parts[i] to block ids[i], in place, with one indexed
+        addition.  Precondition: the blocks ids (distinct) have one shape,
+        parts.shape[1:], and are taken as stored (not flipped), as a
+        builder fills its own zeroed blocks; the group of that shape is
+        found by shape and the positions by a search in its sorted ids."""
+        group = next(g for g in self.groups
+                     if g.stack.shape[1:] == parts.shape[1:])
+        group.stack[np.searchsorted(group.ids, ids)] += parts
+
     def transposed(self, block_tree: BlockTree) -> "PackedBlocks":
         """The transposed blocks over ``block_tree``, sharing the arrays."""
         _, row_start, col_start = self.layout

@@ -7,9 +7,10 @@ protecting the ranges of the factors' own bases exactly, and then
 assembles the product as an H^2-matrix over the refined tree.  The
 assembly works per distinct factor and per shape group, not per term:
 each left and right factor is computed once, the terms of one kind are
-summed by batched GEMMs over buckets of groups of one shape, the outer
-basis change is applied once per product block, and the couplings of
-subdivided blocks are pushed down level by level.
+summed by batched GEMMs over buckets of groups of one shape, and the
+outer basis change is applied once per product block.  The couplings
+of subdivided blocks are then pushed down to the leaves by one loop
+over those blocks, parents first.
 """
 
 from __future__ import annotations
@@ -246,9 +247,9 @@ def _run_ids(*keys: np.ndarray) -> np.ndarray:
     return np.cumsum(new)
 
 
-# Accumulator entries per tile of block rows in ``_term_sums``: the
-# groups of one tile are evaluated together, which bounds the
-# temporaries of one batched GEMM.
+# Accumulator entries per tile of block rows in ``_term_sums`` (its
+# only user): the groups of one tile are evaluated together, which
+# bounds the temporaries of one batched GEMM.
 TILE = 1 << 17
 
 
@@ -384,120 +385,40 @@ def _term_sums(pt: BlockTree, blocks: np.ndarray, mids: np.ndarray,
         del acc, factors
 
 
-def _locate(groups, n: int):
-    """Per id below n: the index of the ShapeGroup that holds it (-1 for
-    none) and its position in that group's stack."""
-    group_of = np.full(n, -1, np.intp)
-    pos_of = np.zeros(n, np.intp)
-    for i, g in enumerate(groups):
-        group_of[g.ids] = i
-        pos_of[g.ids] = np.arange(g.ids.size)
-    return group_of, pos_of
-
-
-def _adder(nblocks: int, *packed: PackedBlocks):
-    """``add(ids, parts)``: adds parts[i] to block ids[i], in whichever of
-    the PackedBlocks holds it, with one indexed addition per group."""
-    groups = [g for p in packed for g in p.groups]
-    group_of, pos_of = _locate(groups, nblocks)
-
-    def add(ids, parts):
-        at = group_of[ids]
-        if (at == at[0]).all():
-            groups[at[0]].stack[pos_of[ids]] += parts
-            return
-        for i in np.unique(at).tolist():
-            sel = at == i
-            groups[i].stack[pos_of[ids[sel]]] += parts[sel]
-    return add
-
-
-def _buckets(*keys: np.ndarray):
-    """Rows of equal key columns: each row's bucket index, and per bucket
-    the positions of its rows."""
-    order = np.lexsort(keys[::-1])
-    starts = _runs(*(k[order] for k in keys))
-    inv = np.empty(order.size, np.intp)
-    inv[order] = np.repeat(np.arange(starts.size),
-                           np.diff(starts, append=order.size))
-    return inv, np.split(order, starts[1:])
-
-
-def _basis_index(q: ClusterBasis):
-    """Per cluster: the first row of its transfer matrix in its parent's
-    stack, its rank, and its place in the transfer groups (as a parent)
-    and in the leaf groups."""
-    n = q.tree.nnodes
-    at = np.zeros(n, np.intp)
-    for children in q.tree.children:
-        for c in children:
-            at[c] = q.offset[c] - q.offset[children[0]]
-    return (at, np.asarray(q.rank, np.intp), *_locate(q.transfer_groups, n),
-            *_locate(q.leaf_groups, n))
-
-
 def _push_down(pt: BlockTree, pending: PackedBlocks, q_r: ClusterBasis,
-               q_c: ClusterBasis, levels, add):
-    """Moves the couplings of subdivided blocks down to the leaves, level
-    by level.  Per chunk of parents of one shape (at most ``TILE``
-    product entries), one gather and one batched product with the
-    transfer stacks of their row and column clusters
-    (``ClusterBasis.transfer_stack``); then per run of their children of
-    one shape, one gather of the children's rows and columns from those
-    products, through the leaf bases at a dense leaf, and one indexed
-    addition."""
-    row, col = np.asarray(pt.row), np.asarray(pt.col)
-    pend_g, pend_p = _locate(pending.groups, pt.nblocks)
-    at_r, rank_r, tg_r, tp_r, lg_r, lp_r = _basis_index(q_r)
-    at_c, rank_c, tg_c, tp_c, lg_c, lp_c = _basis_index(q_c)
-    for level in levels:
-        lv = np.array(level, np.intp)
-        t, r = row[lv], col[lv]
-        split_t, split_r = tg_r[t], tg_c[r]  # -1: the cluster is a leaf
-        chunks, chunk_of = [], np.empty(lv.size, np.intp)
-        at_chunk = np.empty(lv.size, np.intp)
-        for sel in _buckets(pend_g[lv], split_t, split_r)[1]:
-            h = (q_r.transfer_groups[split_t[sel[0]]].stack.shape[1]
-                 if split_t[sel[0]] >= 0 else rank_r[t[sel[0]]])
-            w = (q_c.transfer_groups[split_r[sel[0]]].stack.shape[1]
-                 if split_r[sel[0]] >= 0 else rank_c[r[sel[0]]])
-            step = max(1, TILE // max(1, h * w))
-            for c in range(0, sel.size, step):
-                chunk_of[sel[c:c + step]] = len(chunks)
-                at_chunk[sel[c:c + step]] = np.arange(sel[c:c + step].size)
-                chunks.append(sel[c:c + step])
+               q_c: ClusterBasis, coupling: PackedBlocks,
+               nearfield: PackedBlocks):
+    """Moves the couplings of subdivided blocks down to the leaves.
 
-        par = np.repeat(np.arange(lv.size),
-                        [len(pt.children[b]) for b in level])
-        kids = np.array([c for b in level for c in pt.children[b]], np.intp)
-        t2, r2 = row[kids], col[kids]
-        i0 = np.where(t2 != t[par], at_r[t2], 0)
-        j0 = np.where(r2 != r[par], at_c[r2], 0)
-        dense = pt.inadmissible_leaf_flags[kids]
-        _, kid_buckets = _buckets(chunk_of[par], i0, j0, rank_r[t2],
-                                  rank_c[r2], np.where(dense, lg_r[t2], -1),
-                                  np.where(dense, lg_c[r2], -1))
-        kid_cut = np.searchsorted(chunk_of[par[[k[0] for k in kid_buckets]]],
-                                  np.arange(len(chunks) + 1)).tolist()
-        for n, sel in enumerate(chunks):
-            prod = pending.groups[pend_g[lv[sel[0]]]].stack[pend_p[lv[sel]]]
-            if split_t[sel[0]] >= 0:
-                prod = q_r.transfer_groups[split_t[sel[0]]].stack[
-                    tp_r[t[sel]]] @ prod
-            if split_r[sel[0]] >= 0:
-                prod = prod @ q_c.transfer_groups[split_r[sel[0]]].stack[
-                    tp_c[r[sel]]].transpose(0, 2, 1)
-            for ks in kid_buckets[kid_cut[n]:kid_cut[n + 1]]:
-                first = ks[0]
-                i, j = i0[first], j0[first]
-                parts = prod[at_chunk[par[ks]], i:i + rank_r[t2[first]],
-                             j:j + rank_c[r2[first]]]
-                if dense[first]:
-                    parts = (q_r.leaf_groups[lg_r[t2[first]]].stack[
-                        lp_r[t2[ks]]] @ parts
-                        @ q_c.leaf_groups[lg_c[r2[first]]].stack[
-                            lp_c[r2[ks]]].transpose(0, 2, 1))
-                add(kids[ks], parts)
+    One loop over the pending blocks in ascending id order: ids are
+    preorder, so every parent comes before its children.  A parent
+    (t, r) multiplies its coupling once by the transfer stack of t
+    (``ClusterBasis.transfer_stack``) if its block splits t, and by the
+    transposed stack of r if it splits r.  Each child (t2, r2) adds its
+    rows and columns of that product to its coupling or its pending
+    coupling, or, at a dense leaf, V_t2 @ part @ W_r2^T to its nearfield.
+    """
+    for b in sorted(pending.blocks):
+        t, r, kids = pt.row[b], pt.col[b], pt.children[b]
+        # the first child pairs the first children of t and r (or t and
+        # r themselves where the block does not split them)
+        t0, r0 = pt.row[kids[0]], pt.col[kids[0]]
+        prod = pending.blocks[b]
+        if t0 != t:
+            prod = q_r.transfer_stack[t] @ prod
+        if r0 != r:
+            prod = prod @ q_c.transfer_stack[r].T
+        for c in kids:
+            t2, r2 = pt.row[c], pt.col[c]
+            i = q_r.offset[t2] - q_r.offset[t0]  # 0 where t is not split
+            j = q_c.offset[r2] - q_c.offset[r0]
+            part = prod[i:i + q_r.rank[t2], j:j + q_c.rank[r2]]
+            if c in nearfield.blocks:
+                dst = nearfield.blocks[c]
+                part = q_r.leaf_matrix[t2] @ part @ q_c.leaf_matrix[r2].T
+            else:
+                dst = (pending if c in pending.blocks else coupling).blocks[c]
+            dst += part
 
 
 def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
@@ -516,12 +437,13 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
     once per distinct (s, r), forms the sums over s in Y's column-rank
     space and applies R_r^T = (Q_r^T W_{Y,r})^T, or W_{Y,r}^T at a dense
     target, once per block.  Kind B is kind A of Y^T X^T, and kind C sums
-    X's dense blocks times Y's.  The sums are added to the block's
-    coupling, to its nearfield at a dense leaf, or, at a subdivided
-    block, to a pending coupling; ``_push_down`` moves those to the
-    leaves level by level through the transfer stacks, which is exact.
-    Contributions to dense product blocks are evaluated exactly, without
-    projecting onto the compressed bases.
+    X's dense blocks times Y's.  Each run of sums is added by one
+    ``PackedBlocks.add`` to the blocks' couplings, to their nearfield at
+    a dense leaf, or, at subdivided blocks, to pending couplings.
+    ``_push_down`` moves those to the leaves in one loop, parents first,
+    through the transfer stacks, which is exact.  Contributions to dense
+    product blocks are evaluated exactly, without projecting onto the
+    compressed bases.
     """
     bx, by = x.block_tree, y.block_tree
     pt, terms = build_product_block_tree(bx, by)
@@ -530,47 +452,43 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
     nearfield = PackedBlocks.zero_nearfield(pt)
 
     # the subdivided blocks that receive a coupling: those where a term
-    # ends, and their subdivided children; level 0 has no such parent
+    # ends, and their subdivided descendants
     flags = np.zeros(pt.nblocks, bool)
     flags[terms[KIND_A][0]] = flags[terms[KIND_B][0]] = True
     flags = (flags & ~pt.leaf_flags).tolist()
     leaf = pt.leaf_flags.tolist()
-    level: dict[int, int] = {}
     for b in range(pt.nblocks):  # preorder: parents first
         if flags[b]:
-            below = level.setdefault(b, 0) + 1
             for c in pt.children[b]:
-                if not leaf[c]:
-                    flags[c] = True
-                    level[c] = below
-    levels: list[list[int]] = [[] for _ in range(max(level.values(),
-                                                     default=-1) + 1)]
-    for b, lv in level.items():
-        levels[lv].append(b)
+                flags[c] = not leaf[c]
     pending = PackedBlocks.zeros(
-        {b: (q_r.rank[pt.row[b]], q_c.rank[pt.col[b]]) for b in level},
+        {b: (q_r.rank[pt.row[b]], q_c.rank[pt.col[b]])
+         for b in np.flatnonzero(flags).tolist()},
         pt, q_r.offset, q_c.offset)
-    add = _adder(pt.nblocks, coupling, nearfield, pending)
+    # a run of sums holds blocks of one shape and one target: pending (a
+    # subdivided block), coupling or nearfield, indexed by leaf + dense
+    targets = (pending, coupling, nearfield)
+    target = pt.leaf_flags + pt.inadmissible_leaf_flags.astype(np.intp)
 
     ranks = (q_r.rank, q_c.rank)
     for ids, sums in _term_sums(pt, *terms[KIND_A], ranks,
                                 *_kind_a_factors(x, y, pxy, qrow, qcol)):
-        add(ids, sums)
+        targets[target[ids[0]]].add(ids, sums)
     # kind B is kind A of the transposed product Y^T X^T
     for ids, sums in _term_sums(pt.transposed(), *terms[KIND_B], ranks[::-1],
                                 *_kind_a_factors(y.transposed(),
                                                  x.transposed(),
                                                  pxy.transposed(), qcol,
                                                  qrow)):
-        add(ids, sums.transpose(0, 2, 1))
+        targets[target[ids[0]]].add(ids, sums.transpose(0, 2, 1))
     for ids, sums in _term_sums(
             pt, *terms[KIND_C], ranks,
             lambda ts, ss, dense: [x.nearfield[bx.index[t, s]]
                                    for t, s in zip(ts, ss)],
             lambda s, r: y.nearfield[by.index[s, r]], None):
-        add(ids, sums)
+        targets[target[ids[0]]].add(ids, sums)
     del terms  # free the term arrays early
-    _push_down(pt, pending, q_r, q_c, levels, add)
+    _push_down(pt, pending, q_r, q_c, coupling, nearfield)
     return H2Matrix(pt, q_r, q_c, coupling, nearfield)
 
 

@@ -7,7 +7,8 @@ from h2mul import (InvalidInputError, KernelProblem, assemble_product,
                    compress_induced_col_basis, compress_induced_row_basis,
                    expand_basis, multiply, to_dense, total_weights)
 from h2mul.trees import KIND_A, KIND_B, KIND_C
-from util import random_h2, random_h2_pair, rel_spectral, unbalanced_pair
+from util import (random_cluster_tree, random_h2, random_h2_pair,
+                  rel_spectral, unbalanced_pair)
 
 
 def phase1_inputs(x, y, scaling=True):
@@ -229,7 +230,7 @@ def per_term_product(x, y, qrow, qcol, pxy):
 class TestAssembleProduct:
     @pytest.mark.parametrize("case", ["log-1d", "unbalanced", "dense-only",
                                       "slp-sphere", "dlp-slp-cube",
-                                      "max-rank"])
+                                      "max-rank", "deep-rows", "deep-cols"])
     def test_matches_per_term_reference(self, case):
         max_rank = None
         if case == "log-1d":
@@ -259,6 +260,21 @@ class TestAssembleProduct:
             y = build_problem(KernelProblem("cube-surface", "single-layer",
                                             192, 3), eta=2.0).h2
             assert x.row_basis.rank != x.col_basis.rank
+        elif case in ("deep-rows", "deep-cols"):
+            # outer trees of unequal depth: subdivided blocks where terms
+            # end split on one side only, so the push-down uses one
+            # transfer stack
+            sizes, split = ((2, 8, 8), (True, False)) if case == "deep-rows" \
+                else ((8, 8, 2), (False, True))
+            rng = np.random.default_rng(0)
+            t_i, t_j, t_k = (random_cluster_tree(rng, 64, s) for s in sizes)
+            x, y = random_h2(rng, t_i, t_j), random_h2(rng, t_j, t_k)
+            pt, terms = build_product_block_tree(x.block_tree, y.block_tree)
+            ends = np.concatenate([terms[KIND_A][0], terms[KIND_B][0]])
+            assert split in {
+                (pt.row[pt.children[b][0]] != pt.row[b],
+                 pt.col[pt.children[b][0]] != pt.col[b])
+                for b in ends[~pt.leaf_flags[ends]].tolist()}
         else:  # induced bases capped by max_rank
             x = y = build_problem(KernelProblem.log_1d(256), eta=2.0).h2
             max_rank = 5
