@@ -61,7 +61,7 @@ class RunConfig:
     def validate(self):
         if self.problem not in PROBLEMS:
             raise InvalidInputError(f"unknown problem {self.problem!r}")
-        if self.eps < 0:
+        if not self.eps >= 0:
             raise InvalidInputError(f"eps must be >= 0, got {self.eps}")
         if self.coarsen not in ("input-tree", "product-tree"):
             raise InvalidInputError(f"unknown coarsen mode {self.coarsen!r}")

@@ -119,7 +119,7 @@ _checked: ContextVar[tuple | None] = ContextVar("h2mul_checked_coarse",
                                                 default=None)
 
 
-def _checked_coverage(pt: BlockTree, coarse: BlockTree) -> list[bool]:
+def _checked_coverage(pt: BlockTree, coarse: BlockTree) -> np.ndarray:
     """``_coverage`` of a coarse tree checked against pt: the one that
     ``coarsen`` holds, or a fresh check and map."""
     held = _checked.get()
@@ -129,19 +129,14 @@ def _checked_coverage(pt: BlockTree, coarse: BlockTree) -> list[bool]:
     return _coverage(pt, coarse)
 
 
-def _coverage(pt: BlockTree, coarse: BlockTree) -> list[bool]:
-    """Per product block: does an admissible coarse block contain it?"""
-    # per product block: admissibility of the coarse leaf containing it,
-    # None above the coarse leaves; ids are preorder, parents come first
-    state: list[bool | None] = [None] * pt.nblocks
-    for pb in range(pt.nblocks):
-        if state[pb] is None:
-            cb = coarse.index.get((pt.row[pb], pt.col[pb]))
-            if cb is not None and coarse.is_leaf(cb):
-                state[pb] = coarse.admissible[cb]
-        for child in pt.children[pb]:
-            state[child] = state[pb]
-    return [s is True for s in state]
+def _coverage(pt: BlockTree, coarse: BlockTree) -> np.ndarray:
+    """Per product block: does an admissible coarse block contain it?
+    The coarse tree has passed ``_validate_coarse``, so each of its
+    blocks is a block of pt."""
+    leaves = np.zeros(pt.nblocks, bool)
+    leaves[[pt.index[coarse.row[b], coarse.col[b]]
+            for b in coarse.admissible_leaves()]] = True
+    return pt.below(leaves)
 
 
 def _row_rep(g: H2Matrix, b: int, r_t: np.ndarray,
@@ -173,7 +168,7 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
                              max_rank)
 
 
-def _coarse_row_basis(g: H2Matrix, cov: list[bool], tol: float,
+def _coarse_row_basis(g: H2Matrix, cov: np.ndarray, tol: float,
                       max_rank: int | None) -> CoarsenState:
     """``build_coarse_row_basis`` for a checked coarse tree, given as the
     coverage of g's blocks.  Block ids and admissibility are kept under
@@ -184,15 +179,8 @@ def _coarse_row_basis(g: H2Matrix, cov: list[bool], tol: float,
     tree = pt.rows
     merge = partial(match_column, w=g.col_basis)
 
-    near_cov: dict[int, list[int]] = {t: [] for t in range(tree.nnodes)}
-    sub_cov: dict[int, list[int]] = {t: [] for t in range(tree.nnodes)}
-    for b in range(pt.nblocks):
-        if not cov[b] or pt.is_admissible_leaf(b):
-            continue
-        if pt.is_inadmissible_leaf(b):
-            near_cov[pt.row[b]].append(b)
-        else:
-            sub_cov[pt.row[b]].append(b)
+    near_cov = pt.by_row(cov & pt.inadmissible_leaf_flags)
+    sub_cov = pt.by_row(cov & ~pt.leaf_flags)
 
     rmap: dict[int, np.ndarray] = {}
     reps: dict[int, ColumnTree] = {}

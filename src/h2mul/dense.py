@@ -67,7 +67,7 @@ def truncated_svd(a, tol: float, max_rank: int | None = None) -> TruncatedSVD:
     exact low-rank inputs are truncated to their true rank even at
     tol = 0.  A negative ``max_rank`` raises InvalidInputError.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise InvalidInputError(f"tolerance must be >= 0, got {tol}")
     if max_rank is not None and max_rank < 0:
         raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")

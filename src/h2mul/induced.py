@@ -6,11 +6,12 @@ large rank.  This module compresses those bases adaptively bottom-up,
 protecting the ranges of the factors' own bases exactly, and then
 assembles the product as an H^2-matrix over the refined tree.  The
 assembly works per distinct factor and per shape group, not per term:
-each left and right factor is computed once, the terms of one kind are
-summed by batched GEMMs over buckets of groups of one shape, and the
-outer basis change is applied once per product block.  The couplings
-of subdivided blocks are then pushed down to the leaves by one loop
-over those blocks, parents first.
+each left and right factor is computed once (the left ones by the
+compression's ``_projected_block`` and ``_xv_at_leaf``), the terms of
+one kind are summed by batched GEMMs over buckets of groups of one
+shape, and the outer basis change is applied once per product block.
+The couplings of subdivided blocks are then pushed down to the leaves
+by one loop over those blocks, parents first.
 """
 
 from __future__ import annotations
@@ -51,16 +52,6 @@ class InducedBasisResult:
     q: ClusterBasis
     basis_change: dict[int, np.ndarray]
     block_projections: dict[tuple[int, int], np.ndarray]
-
-
-def _inadmissible_columns(bx: BlockTree) -> dict[int, list[int]]:
-    """Per row cluster t, the column clusters s of non-admissible blocks
-    (t, s), in block-tree preorder."""
-    out: dict[int, list[int]] = {t: [] for t in range(bx.rows.nnodes)}
-    for b in range(bx.nblocks):
-        if not bx.is_admissible_leaf(b):
-            out[bx.row[b]].append(bx.col[b])
-    return out
 
 
 def _xv_at_leaf(x: H2Matrix, y: H2Matrix, pxy: BasisProduct,
@@ -113,7 +104,7 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
         raise InvalidInputError("x and y do not share the middle cluster tree")
     t_rows = bx.rows
     vy = y.row_basis
-    cols_of = _inadmissible_columns(bx)
+    blocks_of = bx.by_row(~bx.admissible_leaf_flags)
     basis_change: dict[int, np.ndarray] = {}
     projections: dict[tuple[int, int], np.ndarray] = {}
 
@@ -132,7 +123,7 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
 
     def cut(t, vx_t):
         # vx_t: the (projected) V_{X,t}; blocks[i]: (projected) X|ts_i V_{Y,s_i}
-        middles = cols_of[t]
+        middles = [bx.col[b] for b in blocks_of[t]]
         if t_rows.is_leaf(t):
             blocks = [_xv_at_leaf(x, y, pxy, t, s) for s in middles]
         else:
@@ -177,45 +168,19 @@ def _kind_a_factors(x: H2Matrix, y: H2Matrix, pxy: BasisProduct,
                     qrow: InducedBasisResult, qcol: InducedBasisResult):
     """The factors of the kind-A terms X|ts Y|sr, (s, r) admissible in Y,
     for ``_term_sums``: ``left(ts, ss, dense)`` lists the left factors of
-    the pairs (t, s), Q_t^T X|ts V_{Y,s} (the block projection;
-    R_t S_X(t, s) P_s where (t, s) is admissible in X too) or
-    X|ts V_{Y,s} at a dense target; ``right(s, r)`` is S_Y(s, r), and
-    ``outer(r, dense)`` the outer basis change R_r = Q_r^T W_{Y,r}, or
-    W_{Y,r} at a dense target."""
-    bx, by = x.block_tree, y.block_tree
-    adm, leaf = bx.admissible_leaf_flags.tolist(), bx.leaf_flags.tolist()
+    the pairs (t, s), Q_t^T X|ts V_{Y,s} from ``_projected_block`` (the
+    block projection, or R_t S_X(t, s) P_s where (t, s) is admissible in
+    X too) or X|ts V_{Y,s} from ``_xv_at_leaf`` at a dense target;
+    ``right(s, r)`` is S_Y(s, r), and ``outer(r, dense)`` the outer basis
+    change R_r = Q_r^T W_{Y,r}, or W_{Y,r} at a dense target."""
+    by = y.block_tree
 
     def left(ts, ss, dense):
-        # chains of two or three factors, multiplied per run of one shape
-        out: list = [None] * len(ts)
-        chains: dict[tuple, tuple[list, ...]] = {}
-        for i, (t, s) in enumerate(zip(ts, ss)):
-            b = bx.index[t, s]
-            if not dense:
-                out[i] = qrow.block_projections.get((t, s))
-                if out[i] is not None:
-                    continue
-                chain = (qrow.basis_change[t], x.coupling[b], pxy.p[s])
-            elif adm[b]:
-                chain = (x.row_basis.leaf_matrix[t], x.coupling[b], pxy.p[s])
-            elif leaf[b]:
-                chain = (x.nearfield[b], y.row_basis.leaf_matrix[s])
-            else:
-                out[i] = _xv_at_leaf(x, y, pxy, t, s)
-                continue
-            lists = chains.setdefault(
-                tuple(m.shape[1] for m in chain) + chain[0].shape[:1],
-                ([], *([] for _ in chain)))
-            lists[0].append(i)
-            for part, m in zip(lists[1:], chain):
-                part.append(m)
-        for at, *parts in chains.values():
-            prod = np.array(parts[0])
-            for part in parts[1:]:
-                prod = prod @ np.array(part)
-            for i, m in zip(at, prod):
-                out[i] = m
-        return out
+        if dense:
+            return [_xv_at_leaf(x, y, pxy, t, s) for t, s in zip(ts, ss)]
+        return [_projected_block(x, pxy, qrow.basis_change,
+                                 qrow.block_projections, t, s)
+                for t, s in zip(ts, ss)]
 
     def outer(r, dense):
         return (y.col_basis.leaf_matrix[r] if dense
@@ -453,17 +418,12 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
 
     # the subdivided blocks that receive a coupling: those where a term
     # ends, and their subdivided descendants
-    flags = np.zeros(pt.nblocks, bool)
-    flags[terms[KIND_A][0]] = flags[terms[KIND_B][0]] = True
-    flags = (flags & ~pt.leaf_flags).tolist()
-    leaf = pt.leaf_flags.tolist()
-    for b in range(pt.nblocks):  # preorder: parents first
-        if flags[b]:
-            for c in pt.children[b]:
-                flags[c] = not leaf[c]
+    inner = ~pt.leaf_flags
+    ends = np.zeros(pt.nblocks, bool)
+    ends[terms[KIND_A][0]] = ends[terms[KIND_B][0]] = True
     pending = PackedBlocks.zeros(
         {b: (q_r.rank[pt.row[b]], q_c.rank[pt.col[b]])
-         for b in np.flatnonzero(flags).tolist()},
+         for b in np.flatnonzero(pt.below(ends & inner) & inner).tolist()},
         pt, q_r.offset, q_c.offset)
     # a run of sums holds blocks of one shape and one target: pending (a
     # subdivided block), coupling or nearfield, indexed by leaf + dense

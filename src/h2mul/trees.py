@@ -99,6 +99,8 @@ def build_cluster_tree(points, leaf_size: int) -> ClusterTree:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.shape[0] == 0:
         raise InvalidInputError("point set must be a non-empty (n, d) array")
+    if not np.isfinite(pts).all():
+        raise InvalidInputError("point coordinates must be finite")
     if leaf_size < 1:
         raise InvalidInputError(f"leaf_size must be >= 1, got {leaf_size}")
 
@@ -151,7 +153,7 @@ def admissible_boxes(amin, amax, bmin, bmax, eta: float) -> bool:
     Touching boxes (distance zero) are never admissible, including the
     degenerate case of two zero-diameter boxes at the same point.
     """
-    if eta <= 0:
+    if not eta > 0:
         raise InvalidInputError(f"eta must be > 0, got {eta}")
     diam = max(box_diameter(amin, amax), box_diameter(bmin, bmax))
     dist = box_distance(amin, amax, bmin, bmax)
@@ -212,6 +214,24 @@ class BlockTree:
 
     def leaves(self) -> list[int]:
         return np.flatnonzero(self.leaf_flags).tolist()
+
+    def by_row(self, mask) -> list[list[int]]:
+        """Per row cluster t: the ids of the blocks (t, s) where ``mask``
+        holds, ascending, which is block-tree preorder."""
+        out: list[list[int]] = [[] for _ in range(self.rows.nnodes)]
+        for b in np.flatnonzero(mask).tolist():
+            out[self.row[b]].append(b)
+        return out
+
+    def below(self, mask) -> np.ndarray:
+        """Per block: does ``mask`` hold at it or at one of its ancestors?
+        One loop over the blocks, parents first (ids are preorder)."""
+        out = np.array(mask, bool).tolist()
+        for b, kids in enumerate(self.children):
+            if out[b]:
+                for c in kids:
+                    out[c] = True
+        return np.array(out, bool)
 
     def admissible_leaves(self) -> list[int]:
         return np.flatnonzero(self.admissible_leaf_flags).tolist()
@@ -385,10 +405,7 @@ class ColumnTree:
 
 def sparsity_constant(bt: BlockTree) -> int:
     """max_t #{s : (t, s) in the tree}; the C_sp of the complexity analysis."""
-    counts: dict[int, int] = {}
-    for b in range(bt.nblocks):
-        counts[bt.row[b]] = counts.get(bt.row[b], 0) + 1
-    return max(counts.values())
+    return max(map(len, bt.by_row(np.ones(bt.nblocks, bool))))
 
 
 def refinement_counts(product_tree: BlockTree, coarse: BlockTree) -> list[int]:

@@ -72,9 +72,7 @@ def total_weights(y: H2Matrix, rw: BasisWeights | None,
     tree = bt.rows
     vy = y.row_basis
     leaves = bt.admissible_leaves()
-    row_map: dict[int, list[int]] = {s: [] for s in range(tree.nnodes)}
-    for b in leaves:
-        row_map[bt.row[b]].append(b)
+    row_map = bt.by_row(bt.admissible_leaf_flags)
 
     if rw is None:
         blocks = {b: y.coupling[b].T for b in leaves}

@@ -157,6 +157,10 @@ class TestRunExperiment:
             RunConfig(max_rank=-1).validate()
         RunConfig(max_rank=0).validate()
 
+    def test_nan_eps_rejected(self):
+        with pytest.raises(InvalidInputError):
+            RunConfig(eps=math.nan).validate()
+
     def test_dlp_cube_small(self):
         cfg = RunConfig(problem="dlp-cube", n=768, eps=1e-4, eta=2.0,
                         order=3, steps=10)
@@ -288,6 +292,12 @@ class TestCLI:
             main(["--problem", "log-1d", "--n", "64", "--max-rank", "-1"])
         err = capsys.readouterr().err
         assert "max_rank" in err
+
+    def test_nan_eps_diagnostics(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "log-1d", "--n", "64", "--eps", "nan"])
+        assert exc.value.code == 2
+        assert "eps" in capsys.readouterr().err
 
     def test_bad_n_diagnostics(self, capsys):
         with pytest.raises(SystemExit):

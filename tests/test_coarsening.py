@@ -428,6 +428,13 @@ class TestRecompress:
         with pytest.raises(InvalidInputError):
             recompress(x, 1e-4, max_rank=-1)
 
+    def test_nan_tolerance_rejected(self):
+        x, _, g = small_product(seed=18)
+        with pytest.raises(InvalidInputError):
+            coarsen(g, x.block_tree, np.nan)
+        with pytest.raises(InvalidInputError):
+            recompress(x, np.nan)
+
     @pytest.mark.parametrize("builder", [build_coarse_row_basis,
                                          build_coarse_col_basis])
     def test_builder_rejects_negative_max_rank(self, builder):

@@ -148,6 +148,10 @@ class TestTruncatedSVD:
         with pytest.raises(InvalidInputError):
             truncated_svd(np.eye(2), -1.0)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(InvalidInputError):
+            truncated_svd(np.eye(2), np.nan)
+
     def test_max_rank_cap(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((5, 5))

@@ -382,6 +382,12 @@ class TestAssembleProduct:
         with pytest.raises(InvalidInputError):
             multiply(x, y, 1e-4, max_rank=-1)
 
+    def test_nan_tolerance_rejected(self):
+        rng = np.random.default_rng(76)
+        x, y = random_h2_pair(rng, n=24, leaf_size=4)
+        with pytest.raises(InvalidInputError):
+            multiply(x, y, np.nan)
+
     @pytest.mark.parametrize("side", ["row", "col"])
     def test_builder_rejects_negative_max_rank(self, side):
         rng = np.random.default_rng(76)

@@ -75,6 +75,13 @@ class TestClusterTree:
         with pytest.raises(InvalidInputError):
             build_cluster_tree(np.zeros((0, 2)), 2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.random.default_rng(4).uniform(size=(16, 2))
+        pts[5, 1] = bad
+        with pytest.raises(InvalidInputError):
+            build_cluster_tree(pts, 2)
+
 
 class TestAdmissibility:
     def test_separated_unit_cubes(self):
@@ -95,6 +102,14 @@ class TestAdmissibility:
     def test_eta_must_be_positive(self):
         with pytest.raises(InvalidInputError):
             admissible_boxes(np.zeros(1), np.ones(1), np.zeros(1), np.ones(1), 0.0)
+
+    def test_nan_eta_rejected(self):
+        with pytest.raises(InvalidInputError):
+            admissible_boxes(np.zeros(1), np.ones(1), np.full(1, 2.0),
+                             np.full(1, 3.0), np.nan)
+        tree = build_cluster_tree((np.arange(64) + 0.5) / 64, 1)
+        with pytest.raises(InvalidInputError):
+            build_block_tree(tree, tree, np.nan)
 
 
 def naive_block_partition(tree_a, tree_b, eta):
@@ -162,6 +177,62 @@ class TestBlockTree:
         assert tt.rows is cols and tt.cols is rows
         for b in range(bt.nblocks):
             assert tt.row[b] == bt.col[b] and tt.col[b] == bt.row[b]
+
+
+def query_tree(case):
+    """A block tree, a product tree, or the transpose of either."""
+    if case.startswith("block"):
+        rng = np.random.default_rng(21)
+        bt = build_block_tree(random_cluster_tree(rng, 40, 3),
+                              random_cluster_tree(rng, 33, 3), 1.0)
+    else:
+        x, y = unbalanced_pair()
+        bt, _ = build_product_block_tree(x.block_tree, y.block_tree)
+    return bt.transposed() if case.endswith("-T") else bt
+
+
+def preorder(bt):
+    out, stack = [], [bt.root]
+    while stack:
+        b = stack.pop()
+        out.append(b)
+        stack.extend(reversed(bt.children[b]))
+    return out
+
+
+class TestBlockTreeQueries:
+    CASES = ["block", "block-T", "product", "product-T"]
+
+    @staticmethod
+    def masks(bt):
+        rng = np.random.default_rng(bt.nblocks)
+        return [rng.random(bt.nblocks) < p for p in (0.0, 0.05, 0.3, 1.0)] \
+            + [bt.admissible_leaf_flags, ~bt.leaf_flags]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_by_row_matches_preorder_walk(self, case):
+        bt = query_tree(case)
+        assert bt.nblocks > 50 and not bt.leaf_flags.all()
+        walk = preorder(bt)
+        for mask in self.masks(bt):
+            ref = [[b for b in walk if mask[b] and bt.row[b] == t]
+                   for t in range(bt.rows.nnodes)]
+            assert bt.by_row(mask) == ref
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_below_matches_ancestor_walk(self, case):
+        bt = query_tree(case)
+        parent = {c: b for b in range(bt.nblocks) for c in bt.children[b]}
+        for mask in self.masks(bt):
+            ref = []
+            for b in range(bt.nblocks):
+                hit = bool(mask[b])
+                while not hit and b in parent:
+                    b = parent[b]
+                    hit = bool(mask[b])
+                ref.append(hit)
+            got = bt.below(mask)
+            assert got.dtype == bool and got.tolist() == ref
 
 
 class TestProductBlockTree:
