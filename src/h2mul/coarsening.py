@@ -11,7 +11,6 @@ matrices, and the final matrix is projected onto them block by block.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial, reduce
 
@@ -22,7 +21,7 @@ from .errors import InvalidInputError
 from .h2 import (ClusterBasis, H2Matrix, PackedBlocks, nested_basis,
                  orthogonalize_basis)
 from .stages import stage
-from .trees import BlockTree, ColumnTree, same_cluster_tree
+from .trees import BlockTree, ColumnTree
 from .weights import total_weights
 
 __all__ = [
@@ -97,45 +96,24 @@ def _project(ct: ColumnTree, qt: np.ndarray) -> ColumnTree:
                       ct.admissible)
 
 
-def _validate_coarse(pt: BlockTree, coarse: BlockTree):
-    if not (same_cluster_tree(pt.rows, coarse.rows)
-            and same_cluster_tree(pt.cols, coarse.cols)):
-        raise InvalidInputError("coarse tree lives on different cluster trees")
-    for b in range(coarse.nblocks):
-        key = (coarse.row[b], coarse.col[b])
-        pb = pt.index.get(key)
-        if pb is None:
-            raise InvalidInputError(
-                f"coarse block {key} is finer than the product block tree")
-        if pt.children[pb] and coarse.is_inadmissible_leaf(b):
-            raise InvalidInputError(
-                f"inadmissible coarse leaf {key} is subdivided in the "
-                "product block tree")
-
-
-# (product tree, coarse tree, coverage) while ``coarsen`` runs, which has
-# checked the coarse tree once: its builders and projection reuse that.
-_checked: ContextVar[tuple | None] = ContextVar("h2mul_checked_coarse",
-                                                default=None)
-
-
-def _checked_coverage(pt: BlockTree, coarse: BlockTree) -> np.ndarray:
-    """``_coverage`` of a coarse tree checked against pt: the one that
-    ``coarsen`` holds, or a fresh check and map."""
-    held = _checked.get()
-    if held is not None and held[0] is pt and held[1] is coarse:
-        return held[2]
-    _validate_coarse(pt, coarse)
-    return _coverage(pt, coarse)
+def _coarse_blocks(pt: BlockTree, coarse: BlockTree) -> np.ndarray:
+    """Per coarse block: the id of the product block with its clusters
+    (``BlockTree.locate``).  The product must not subdivide a dense
+    coarse leaf, whose blocks are copied, not projected."""
+    at = pt.locate(coarse)
+    split = coarse.inadmissible_leaf_flags & ~pt.leaf_flags[at]
+    if split.any():
+        b = int(np.flatnonzero(split)[0])
+        raise InvalidInputError(
+            f"inadmissible coarse leaf {(coarse.row[b], coarse.col[b])} is "
+            "subdivided in the product block tree")
+    return at
 
 
 def _coverage(pt: BlockTree, coarse: BlockTree) -> np.ndarray:
-    """Per product block: does an admissible coarse block contain it?
-    The coarse tree has passed ``_validate_coarse``, so each of its
-    blocks is a block of pt."""
+    """Per product block: does an admissible coarse block contain it?"""
     leaves = np.zeros(pt.nblocks, bool)
-    leaves[[pt.index[coarse.row[b], coarse.col[b]]
-            for b in coarse.admissible_leaves()]] = True
+    leaves[_coarse_blocks(pt, coarse)[coarse.admissible_leaf_flags]] = True
     return pt.below(leaves)
 
 
@@ -164,14 +142,14 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
     cached ``PackedBlocks.norms``); a negative ``max_rank`` raises
     InvalidInputError.
     """
-    return _coarse_row_basis(g, _checked_coverage(g.block_tree, coarse), tol,
+    return _coarse_row_basis(g, _coverage(g.block_tree, coarse), tol,
                              max_rank)
 
 
 def _coarse_row_basis(g: H2Matrix, cov: np.ndarray, tol: float,
                       max_rank: int | None) -> CoarsenState:
-    """``build_coarse_row_basis`` for a checked coarse tree, given as the
-    coverage of g's blocks.  Block ids and admissibility are kept under
+    """``build_coarse_row_basis`` for a coarse tree given as the coverage
+    of g's blocks.  Block ids and admissibility are kept under
     transposition, so the column side passes G^T the same list."""
     if max_rank is not None and max_rank < 0:
         raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
@@ -232,9 +210,8 @@ def _coarse_row_basis(g: H2Matrix, cov: np.ndarray, tol: float,
 def build_coarse_col_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
                            max_rank: int | None = None) -> CoarsenState:
     """Adaptive column basis: the row construction applied to G^T."""
-    return _coarse_row_basis(g.transposed(),
-                             _checked_coverage(g.block_tree, coarse), tol,
-                             max_rank)
+    return _coarse_row_basis(g.transposed(), _coverage(g.block_tree, coarse),
+                             tol, max_rank)
 
 
 def _lift(node: ColumnTree, chain: np.ndarray, out: np.ndarray,
@@ -263,7 +240,7 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
     shares the refined matrix's nearfield storage.
     """
     pt = g.block_tree
-    _checked_coverage(pt, coarse)
+    at = _coarse_blocks(pt, coarse).tolist()
     qrow, qcol = rowstate.q, colstate.q
     coupling = PackedBlocks.zero_couplings(coarse, qrow, qcol)
     nearfield = g.packed_nearfield if coarse is pt \
@@ -272,7 +249,7 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
         if not coarse.is_leaf(b):
             continue
         t, r = coarse.row[b], coarse.col[b]
-        pb = pt.index[(t, r)]
+        pb = at[b]
         if coarse.admissible[b]:
             _lift(_row_rep(g, pb, rowstate.r[t], rowstate.reps),
                   np.eye(qcol.rank[r]), coupling.blocks[b], qcol, colstate.r)
@@ -289,22 +266,14 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
 def coarsen(g: H2Matrix, coarse: BlockTree, tol: float, *,
             max_rank: int | None = None) -> H2Matrix:
     """Phase 2: coarse row basis, column basis, projection (stages ``t2_row``,
-    ``t2_col``, ``t2_mat``), with one norm pass per block kind of g and
-    one check and coverage map of the coarse tree."""
-    pt = g.block_tree
-    token = _checked.set(None)
-    try:
-        with stage("t2_row"):
-            _checked.set((pt, coarse, _checked_coverage(pt, coarse)))
-            rowstate = build_coarse_row_basis(g, coarse, tol,
-                                              max_rank=max_rank)
-        with stage("t2_col"):
-            colstate = build_coarse_col_basis(g, coarse, tol,
-                                              max_rank=max_rank)
-        with stage("t2_mat"):
-            return project_final(g, rowstate, colstate, coarse)
-    finally:
-        _checked.reset(token)
+    ``t2_col``, ``t2_mat``), with one norm pass per block kind of g; each
+    of the three maps the coarse tree onto g's blocks itself."""
+    with stage("t2_row"):
+        rowstate = build_coarse_row_basis(g, coarse, tol, max_rank=max_rank)
+    with stage("t2_col"):
+        colstate = build_coarse_col_basis(g, coarse, tol, max_rank=max_rank)
+    with stage("t2_mat"):
+        return project_final(g, rowstate, colstate, coarse)
 
 
 def orthogonalized(g: H2Matrix) -> H2Matrix:

@@ -528,8 +528,8 @@ def _validate_basis(basis: ClusterBasis, tree: ClusterTree, side: str):
                                     f"{t} are missing or have the wrong shape")
 
 
-def h2_matvec(g: H2Matrix, x, y=None, alpha: float = 1.0) -> np.ndarray:
-    """y <- y + alpha * G @ x in O(n k) operations.
+def h2_matvec(g: H2Matrix, x) -> np.ndarray:
+    """G @ x in O(n k) operations.
 
     Every stored shape group is one gather, one batched product
     (``np.matmul`` over the stack) and one write.  The column basis maps
@@ -543,10 +543,6 @@ def h2_matvec(g: H2Matrix, x, y=None, alpha: float = 1.0) -> np.ndarray:
     nrows, ncols = g.shape
     if x.shape != (ncols,):
         raise InvalidInputError(f"x has shape {x.shape}, expected ({ncols},)")
-    if y is None:
-        y = np.zeros(nrows)
-    elif y.shape != (nrows,):
-        raise InvalidInputError(f"y has shape {y.shape}, expected ({nrows},)")
     cb, rb = g.col_basis, g.row_basis
     xhat = np.empty(cb.ncoef)
     for src, groups in ((x, cb.leaf_groups), (xhat, cb.transfer_groups)):
@@ -554,11 +550,7 @@ def h2_matvec(g: H2Matrix, x, y=None, alpha: float = 1.0) -> np.ndarray:
             xhat[gr.col_at] = np.matmul(src[gr.row_at][:, None, :],
                                         gr.stack)[:, 0]
     yhat = g.packed_coupling.apply(xhat, rb.ncoef)
-    near = g.packed_nearfield.apply(x, nrows)
-    if alpha != 1.0:
-        yhat *= alpha
-        near *= alpha
-    y += near
+    y = g.packed_nearfield.apply(x, nrows)
     for dst, groups in ((yhat, rb.transfer_groups[::-1]), (y, rb.leaf_groups)):
         for gr in groups:
             dst[gr.row_at] += np.matmul(gr.stack,
@@ -566,9 +558,9 @@ def h2_matvec(g: H2Matrix, x, y=None, alpha: float = 1.0) -> np.ndarray:
     return y
 
 
-def h2_matvec_adjoint(g: H2Matrix, x, y=None, alpha: float = 1.0) -> np.ndarray:
-    """y <- y + alpha * G^T @ x: the matvec of the transposed matrix."""
-    return h2_matvec(g.transposed(), x, y, alpha)
+def h2_matvec_adjoint(g: H2Matrix, x) -> np.ndarray:
+    """G^T @ x: the matvec of the transposed matrix."""
+    return h2_matvec(g.transposed(), x)
 
 
 def to_dense(g: H2Matrix, guard: int = DENSE_GUARD) -> np.ndarray:

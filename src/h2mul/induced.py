@@ -4,19 +4,25 @@ The product of two H^2-matrices X (I x J) and Y (J x K) is representable
 exactly over a refined block tree using induced row/column bases of
 large rank.  This module compresses those bases adaptively bottom-up,
 protecting the ranges of the factors' own bases exactly, and then
-assembles the product as an H^2-matrix over the refined tree.  The
-assembly works per distinct factor and per shape group, not per term:
-each left and right factor is computed once (the left ones by the
-compression's ``_projected_block`` and ``_xv_at_leaf``), the terms of
-one kind are summed by batched GEMMs over buckets of groups of one
-shape, and the outer basis change is applied once per product block.
-The couplings of subdivided blocks are then pushed down to the leaves
-by one loop over those blocks, parents first.
+assembles the product as an H^2-matrix over the refined tree.  Blocks
+are named by their ids in the factors' block trees: the product tree
+lists each term by its two factor blocks, and the block projections
+are keyed by X's block ids.  The projection of a subdivided block is
+formed from its children's by ``_from_children``, above leaf clusters
+and in the block descent at a leaf cluster alike.  The assembly works
+per distinct factor and per shape group, not per term: each left and
+right factor is computed once (the left ones by the compression's
+``_projected_block`` and ``_xv_at_leaf``), the terms of one kind are
+summed by batched GEMMs over buckets of groups of one shape, and the
+outer basis change is applied once per product block.  The couplings
+of subdivided blocks are then pushed down to the leaves by one loop
+over those blocks, parents first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -45,40 +51,50 @@ class InducedBasisResult:
     ``q`` is isometric per cluster.  ``basis_change[t]`` holds
     Q_t^T V_{X,t}; the range of V_{X,t} is reproduced exactly, i.e.
     expand(q, t) @ basis_change[t] == expand(V_X, t) up to roundoff.
-    ``block_projections[(t, s)]`` holds Q_t^T X|ts V_{Y,s} for every
-    block (t, s) of X's block tree that is not an admissible leaf.
+    ``block_projections[b]`` holds Q_t^T X|ts V_{Y,s} for every block
+    b = (t, s) of X's block tree that is not an admissible leaf.
     """
 
     q: ClusterBasis
     basis_change: dict[int, np.ndarray]
-    block_projections: dict[tuple[int, int], np.ndarray]
+    block_projections: dict[int, np.ndarray]
+
+
+def _from_children(x: H2Matrix, y: H2Matrix, b: int, value) -> np.ndarray:
+    """X|ts V_{Y,s} of a subdivided block b = (t, s) of X from its
+    children's ``value(b2)``: the children of one column cluster stack
+    their rows, and each column moves up to s through Y's transfers."""
+    bx = x.block_tree
+    cols: dict[int, list[np.ndarray]] = {}
+    for b2 in bx.children[b]:
+        cols.setdefault(bx.col[b2], []).append(value(b2))
+    s = bx.col[b]
+    stacked = ((s2, np.vstack(parts)) for s2, parts in cols.items())
+    return sum(m @ y.row_basis.transfer[s2] if s2 != s else m
+               for s2, m in stacked)
 
 
 def _xv_at_leaf(x: H2Matrix, y: H2Matrix, pxy: BasisProduct,
-                t: int, s: int) -> np.ndarray:
-    """X|ts @ V_{Y,s} for a leaf cluster t, by block descent through X."""
+                b: int) -> np.ndarray:
+    """X|ts @ V_{Y,s} for a block b = (t, s) of X at a leaf cluster t, by
+    block descent through X."""
     bx = x.block_tree
-    b = bx.index[(t, s)]
     if bx.is_admissible_leaf(b):
-        return x.row_basis.leaf_matrix[t] @ x.coupling[b] @ pxy.p[s]
+        return x.row_basis.leaf_matrix[bx.row[b]] @ x.coupling[b] \
+            @ pxy.p[bx.col[b]]
     if bx.is_leaf(b):
-        return x.nearfield[b] @ y.row_basis.leaf_matrix[s]
-    acc = np.zeros((bx.rows.size(t), y.row_basis.rank[s]))
-    for b2 in bx.children[b]:
-        s2 = bx.col[b2]
-        part = _xv_at_leaf(x, y, pxy, t, s2)
-        acc += part @ y.row_basis.transfer[s2] if s2 != s else part
-    return acc
+        return x.nearfield[b] @ y.row_basis.leaf_matrix[bx.col[b]]
+    return _from_children(x, y, b, partial(_xv_at_leaf, x, y, pxy))
 
 
 def _projected_block(x: H2Matrix, pxy: BasisProduct, basis_change,
-                     projections, t: int, s: int) -> np.ndarray:
-    """Q_t^T X|ts V_{Y,s} from a compressed row basis' basis changes and
-    stored block projections."""
-    b = x.block_tree.index[(t, s)]
-    if x.block_tree.is_admissible_leaf(b):
-        return basis_change[t] @ x.coupling[b] @ pxy.p[s]
-    return projections[(t, s)]
+                     projections, b: int) -> np.ndarray:
+    """Q_t^T X|ts V_{Y,s} of a block b = (t, s) of X from a compressed row
+    basis' basis changes and stored block projections."""
+    bx = x.block_tree
+    if bx.is_admissible_leaf(b):
+        return basis_change[bx.row[b]] @ x.coupling[b] @ pxy.p[bx.col[b]]
+    return projections[b]
 
 
 def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
@@ -103,31 +119,19 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
     if not same_cluster_tree(bx.cols, y.block_tree.rows):
         raise InvalidInputError("x and y do not share the middle cluster tree")
     t_rows = bx.rows
-    vy = y.row_basis
     blocks_of = bx.by_row(~bx.admissible_leaf_flags)
     basis_change: dict[int, np.ndarray] = {}
-    projections: dict[tuple[int, int], np.ndarray] = {}
-
-    def ahat(t, s, nrows):
-        # U_t^T X|ts V_{Y,s} assembled from the children's projections
-        b = bx.index[(t, s)]
-        acc = np.zeros((nrows, vy.rank[s]))
-        by_col: dict[int, list[np.ndarray]] = {}
-        for b2 in bx.children[b]:
-            by_col.setdefault(bx.col[b2], []).append(_projected_block(
-                x, pxy, basis_change, projections, bx.row[b2], bx.col[b2]))
-        for s2, parts in by_col.items():
-            block = np.vstack(parts)
-            acc += block @ vy.transfer[s2] if s2 != s else block
-        return acc
+    projections: dict[int, np.ndarray] = {}
+    projected = partial(_projected_block, x, pxy, basis_change, projections)
 
     def cut(t, vx_t):
         # vx_t: the (projected) V_{X,t}; blocks[i]: (projected) X|ts_i V_{Y,s_i}
-        middles = [bx.col[b] for b in blocks_of[t]]
+        ids = blocks_of[t]
+        middles = [bx.col[b] for b in ids]
         if t_rows.is_leaf(t):
-            blocks = [_xv_at_leaf(x, y, pxy, t, s) for s in middles]
+            blocks = [_xv_at_leaf(x, y, pxy, b) for b in ids]
         else:
-            blocks = [ahat(t, s, vx_t.shape[0]) for s in middles]
+            blocks = [_from_children(x, y, b, projected) for b in ids]
         weighted = [blk @ zy.z[s].T / nrm for s, blk, nrm
                     in zip(middles, blocks, spectral_norms(blocks))
                     if nrm > 0.0]
@@ -139,8 +143,8 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
         cap = None if max_rank is None else max(0, max_rank - k1)
         svd = truncated_svd(remainder, tol, max_rank=cap)
         q_t = np.hstack([q_full[:, :k1], q_full[:, k1:] @ svd.u])
-        for s, blk in zip(middles, blocks):
-            projections[(t, s)] = q_t.T @ blk
+        for b, blk in zip(ids, blocks):
+            projections[b] = q_t.T @ blk
         return q_t, np.vstack([r_fac[:k1],
                                np.zeros((svd.retained_rank, vx_t.shape[1]))])
 
@@ -155,9 +159,9 @@ def compress_induced_col_basis(x: H2Matrix, y: H2Matrix,
 
     ``zx_adjoint`` are the total weights of X^T, i.e. built from the
     basis weights of V_X and the transposed couplings of X.  The result
-    is keyed by clusters of the column tree of Y; ``basis_change[r]``
-    protects W_{Y,r} and ``block_projections[(r, s)]`` holds
-    Q_r^T Y|sr^T W_{X,s}.
+    is keyed by clusters of the column tree of Y and by Y's block ids,
+    which Y^T shares; ``basis_change[r]`` protects W_{Y,r} and
+    ``block_projections[b]`` holds Q_r^T Y|sr^T W_{X,s} for b = (s, r).
     """
     return compress_induced_row_basis(y.transposed(), x.transposed(),
                                       zx_adjoint, pxy.transposed(), tol,
@@ -167,26 +171,24 @@ def compress_induced_col_basis(x: H2Matrix, y: H2Matrix,
 def _kind_a_factors(x: H2Matrix, y: H2Matrix, pxy: BasisProduct,
                     qrow: InducedBasisResult, qcol: InducedBasisResult):
     """The factors of the kind-A terms X|ts Y|sr, (s, r) admissible in Y,
-    for ``_term_sums``: ``left(ts, ss, dense)`` lists the left factors of
-    the pairs (t, s), Q_t^T X|ts V_{Y,s} from ``_projected_block`` (the
+    for ``_term_sums``: ``left(ids, dense)`` lists the left factors of
+    X's blocks (t, s), Q_t^T X|ts V_{Y,s} from ``_projected_block`` (the
     block projection, or R_t S_X(t, s) P_s where (t, s) is admissible in
-    X too) or X|ts V_{Y,s} from ``_xv_at_leaf`` at a dense target;
-    ``right(s, r)`` is S_Y(s, r), and ``outer(r, dense)`` the outer basis
-    change R_r = Q_r^T W_{Y,r}, or W_{Y,r} at a dense target."""
-    by = y.block_tree
-
-    def left(ts, ss, dense):
+    X too) or X|ts V_{Y,s} from ``_xv_at_leaf`` at a dense target; the
+    right factors are Y's couplings S_Y(s, r), and ``outer(r, dense)``
+    the outer basis change R_r = Q_r^T W_{Y,r}, or W_{Y,r} at a dense
+    target."""
+    def left(ids, dense):
         if dense:
-            return [_xv_at_leaf(x, y, pxy, t, s) for t, s in zip(ts, ss)]
+            return [_xv_at_leaf(x, y, pxy, b) for b in ids]
         return [_projected_block(x, pxy, qrow.basis_change,
-                                 qrow.block_projections, t, s)
-                for t, s in zip(ts, ss)]
+                                 qrow.block_projections, b) for b in ids]
 
     def outer(r, dense):
         return (y.col_basis.leaf_matrix[r] if dense
                 else qcol.basis_change[r])
 
-    return left, lambda s, r: y.coupling[by.index[s, r]], outer
+    return left, y.coupling, outer
 
 
 def _runs(*keys: np.ndarray) -> np.ndarray:
@@ -218,19 +220,21 @@ def _run_ids(*keys: np.ndarray) -> np.ndarray:
 TILE = 1 << 17
 
 
-def _term_sums(pt: BlockTree, blocks: np.ndarray, mids: np.ndarray,
-               ranks, left, right, outer):
-    """Sum_s left(t, s) right(s, r) over the terms (block, s) of one kind,
-    with the outer factor applied once per product block (t, r).
+def _term_sums(pt: BlockTree, blocks: np.ndarray, left_ids: np.ndarray,
+               right_ids: np.ndarray, ranks, left, right, outer):
+    """Sum_s left(t, s) right(s, r) over the terms of one kind, with the
+    outer factor applied once per product block (t, r).
 
-    ``blocks`` and ``mids`` are a kind's term arrays; ``ranks`` are the
-    ranks per cluster of the product's row and column bases, which give
-    a block's shape (the cluster sizes give it at a dense target).  The
-    terms fall into groups of one (t, s) and target kind (dense or not),
-    one per distinct left factor; ``left(ts, ss, dense)`` returns those
-    of the groups of one tile (below), each computed once.  Each right
-    factor ``right(s, r)`` is read once per distinct (s, r); their
-    transposes, zero-padded to the widest, are stacked per row count.
+    ``blocks`` are the product blocks of a kind's terms, ``left_ids``
+    and ``right_ids`` the ids of their factor blocks (t, s) and (s, r);
+    ``ranks`` are the ranks per cluster of the product's row and column
+    bases, which give a block's shape (the cluster sizes give it at a
+    dense target).  The terms fall into groups of one left factor and
+    target kind (dense or not), ordered by tile (below), t and left id;
+    ``left(ids, dense)`` returns the left factors of the groups of one
+    tile, each computed once.  Each distinct right factor
+    ``right[id]`` is read once; their transposes, zero-padded to the
+    widest, are stacked per row count.
     The sums accumulate transposed, one array per target kind and
     height, in which the blocks of a block row t sit side by side, and a
     group adds the product of its left factor and its gathered right
@@ -250,10 +254,8 @@ def _term_sums(pt: BlockTree, blocks: np.ndarray, mids: np.ndarray,
     """
     if not blocks.size:
         return
-    ncols = pt.cols.nnodes
-    pair, pair_of = np.unique(mids * ncols + np.asarray(pt.col)[blocks],
-                              return_inverse=True)
-    mats = [right(p // ncols, p % ncols) for p in pair.tolist()]
+    pair, pair_of = np.unique(right_ids, return_inverse=True)
+    mats = [right[b] for b in pair.tolist()]
     inner = np.array([m.shape[0] for m in mats], np.intp)
     width = np.array([m.shape[1] for m in mats], np.intp)
     pad = int(width.max())
@@ -300,16 +302,16 @@ def _term_sums(pt: BlockTree, blocks: np.ndarray, mids: np.ndarray,
                                 np.arange(len(tile_at))).tolist()
     shape_at = shape_at.tolist() + [ids.size]
 
-    # the terms in groups of one (t, s) and tile; the groups in buckets
-    # of one (tile, round, inner size)
+    # the terms in groups of one left factor and tile; the groups in
+    # buckets of one (tile, round, inner size)
     term_tile, term_t = tile[block_of], t_of[block_of]
-    torder = np.lexsort((mids, term_t, term_tile))
-    group_at = _runs(term_tile[torder], term_t[torder], mids[torder])
+    torder = np.lexsort((left_ids, term_t, term_tile))
+    group_at = _runs(term_tile[torder], left_ids[torder])
     term_pair = pair_at[pair_of[torder]]
     term_slot = slot[block_of[torder]]
     first_term = torder[group_at]
     g_tile, g_t = term_tile[first_term], term_t[first_term]
-    g_s, g_inner = mids[first_term], inner[pair_of[first_term]]
+    g_left, g_inner = left_ids[first_term], inner[pair_of[first_term]]
     g_size = np.diff(group_at, append=torder.size)
     del pair_of, block_of, torder, first_term
     g_row = _run_ids(g_tile, g_t)
@@ -326,7 +328,7 @@ def _term_sums(pt: BlockTree, blocks: np.ndarray, mids: np.ndarray,
     for i, (a, b) in enumerate(zip(tile_at[:-1], tile_at[1:])):
         d, h = bool(dense[order[a]]), int(height[order[a]])
         g0, g1 = group_cut[i], group_cut[i + 1]
-        factors = left(g_t[g0:g1].tolist(), g_s[g0:g1].tolist(), d)
+        factors = left(g_left[g0:g1].tolist(), d)
         acc = np.zeros((b - a + 1, pad, h))  # last: the spare block
         for g in buckets[bucket_cut[i]:bucket_cut[i + 1]]:
             k, most = int(g_inner[g[0]]), int(g_size[g].max())
@@ -390,16 +392,16 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
                      qcol: InducedBasisResult, pxy: BasisProduct) -> H2Matrix:
     """H^2-matrix X @ Y over the product block tree in the induced bases.
 
-    ``build_product_block_tree`` lists, per kind, the middles s whose
-    triple (t, s, r) terminates at each product block: (s, r) admissible
-    (kind A, which also takes the doubly admissible case), (t, s)
-    admissible (kind B), or both factors dense (kind C).  Each kind is
-    summed by ``_term_sums``, whose work is per distinct factor and per
-    shape group, not per term.  Kind A computes each left factor once
-    per distinct (t, s): Q_t^T X|ts V_{Y,s} (the block projection),
-    R_t S_X(t, s) P_s where (t, s) is admissible in X too, or
-    X|ts V_{Y,s} at a dense target.  It reads each coupling S_Y(s, r)
-    once per distinct (s, r), forms the sums over s in Y's column-rank
+    ``build_product_block_tree`` lists, per kind, the terms X|ts Y|sr
+    that terminate at each product block (t, r), by the ids of their
+    factor blocks: (s, r) admissible (kind A, which also takes the
+    doubly admissible case), (t, s) admissible (kind B), or both factors
+    dense (kind C).  Each kind is summed by ``_term_sums``, whose work is
+    per distinct factor and per shape group, not per term.  Kind A
+    computes each left factor once per distinct block (t, s) of X:
+    Q_t^T X|ts V_{Y,s} (the block projection), R_t S_X(t, s) P_s where
+    (t, s) is admissible in X too, or X|ts V_{Y,s} at a dense target.
+    It reads each coupling S_Y(s, r) once per distinct block of Y, forms the sums over s in Y's column-rank
     space and applies R_r^T = (Q_r^T W_{Y,r})^T, or W_{Y,r}^T at a dense
     target, once per block.  Kind B is kind A of Y^T X^T, and kind C sums
     X's dense blocks times Y's.  Each run of sums is added by one
@@ -410,8 +412,7 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
     product blocks are evaluated exactly, without projecting onto the
     compressed bases.
     """
-    bx, by = x.block_tree, y.block_tree
-    pt, terms = build_product_block_tree(bx, by)
+    pt, terms = build_product_block_tree(x.block_tree, y.block_tree)
     q_r, q_c = qrow.q, qcol.q
     coupling = PackedBlocks.zero_couplings(pt, q_r, q_c)
     nearfield = PackedBlocks.zero_nearfield(pt)
@@ -434,8 +435,11 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
     for ids, sums in _term_sums(pt, *terms[KIND_A], ranks,
                                 *_kind_a_factors(x, y, pxy, qrow, qcol)):
         targets[target[ids[0]]].add(ids, sums)
-    # kind B is kind A of the transposed product Y^T X^T
-    for ids, sums in _term_sums(pt.transposed(), *terms[KIND_B], ranks[::-1],
+    # kind B is kind A of the transposed product Y^T X^T, whose left
+    # factors are Y's blocks
+    blocks, x_ids, y_ids = terms[KIND_B]
+    for ids, sums in _term_sums(pt.transposed(), blocks, y_ids, x_ids,
+                                ranks[::-1],
                                 *_kind_a_factors(y.transposed(),
                                                  x.transposed(),
                                                  pxy.transposed(), qcol,
@@ -443,11 +447,10 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
         targets[target[ids[0]]].add(ids, sums.transpose(0, 2, 1))
     for ids, sums in _term_sums(
             pt, *terms[KIND_C], ranks,
-            lambda ts, ss, dense: [x.nearfield[bx.index[t, s]]
-                                   for t, s in zip(ts, ss)],
-            lambda s, r: y.nearfield[by.index[s, r]], None):
+            lambda ids, dense: [x.nearfield[b] for b in ids], y.nearfield,
+            None):
         targets[target[ids[0]]].add(ids, sums)
-    del terms  # free the term arrays early
+    del terms, blocks, x_ids, y_ids  # free the term arrays early
     _push_down(pt, pending, q_r, q_c, coupling, nearfield)
     return H2Matrix(pt, q_r, q_c, coupling, nearfield)
 

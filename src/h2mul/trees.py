@@ -233,6 +233,21 @@ class BlockTree:
                     out[c] = True
         return np.array(out, bool)
 
+    def locate(self, other: "BlockTree") -> np.ndarray:
+        """Per block of ``other``: the id of this tree's block with the same
+        row and column clusters.  ``other`` must be built on the same
+        cluster trees, and each of its blocks must be one of this tree's."""
+        if not (same_cluster_tree(self.rows, other.rows)
+                and same_cluster_tree(self.cols, other.cols)):
+            raise InvalidInputError("block trees live on different cluster "
+                                    "trees")
+        try:
+            return np.array([self.index[key]
+                             for key in zip(other.row, other.col)], np.intp)
+        except KeyError as exc:
+            raise InvalidInputError(f"block {exc.args[0]} is not in the "
+                                    "block tree") from None
+
     def admissible_leaves(self) -> list[int]:
         return np.flatnonzero(self.admissible_leaf_flags).tolist()
 
@@ -320,9 +335,11 @@ def build_product_block_tree(bx: BlockTree, by: BlockTree):
     subdivide (remaining middles are chased through the middle tree
     alone).  A leaf is inadmissible exactly when some middle terminates
     with a dense-times-dense product there.  Returns ``(tree, terms)``
-    where ``terms[kind]`` is a pair ``(block, s)`` of intp arrays, sorted
-    by block, listing every middle s that terminates at a block with
-    that kind (KIND_A, KIND_B or KIND_C).
+    where ``terms[kind]`` is a triple ``(block, x_block, y_block)`` of
+    intp arrays, sorted by block, listing every term X|ts Y|sr that
+    terminates at a product block (t, r) with that kind (KIND_A, KIND_B
+    or KIND_C) by the ids of its factor blocks (t, s) in X and (s, r) in
+    Y; its middle cluster s is ``bx.col[x_block]``.
     """
     if not same_cluster_tree(bx.cols, by.rows):
         raise InvalidInputError("factors do not share the middle cluster tree")
@@ -332,7 +349,7 @@ def build_product_block_tree(bx: BlockTree, by: BlockTree):
     xadm = bx.admissible_leaf_flags.tolist()
     yadm = by.admissible_leaf_flags.tolist()
     row, col, children, adm = [], [], [], []
-    ended = ([], []), ([], []), ([], [])  # per kind: blocks, middles
+    ended = tuple(([], [], []) for _ in range(3))  # per kind: b, bts, bsr
 
     def rec(t, r, middles):
         b = len(row)
@@ -360,8 +377,10 @@ def build_product_block_tree(bx: BlockTree, by: BlockTree):
                 nonterminal.extend((s,) if xleaf[bts] or yleaf[bsr]
                                    else mid.children[s] or (s,))
                 continue
-            ended[kind][0].append(b)
-            ended[kind][1].append(s)
+            blocks, xs, ys = ended[kind]
+            blocks.append(b)
+            xs.append(bts)
+            ys.append(bsr)
         if nonterminal:
             children[b] = tuple(rec(t2, r2, nonterminal) for t2, r2
                                 in _block_children_pairs(rows, cols, t, r))
@@ -369,8 +388,8 @@ def build_product_block_tree(bx: BlockTree, by: BlockTree):
 
     rec(rows.root, cols.root, [mid.root])
     del rec  # rec references itself: free it now, not at a gc collection
-    terms = tuple((np.array(b, np.intp), np.array(s, np.intp))
-                  for b, s in ended)
+    terms = tuple(tuple(np.array(ids, np.intp) for ids in kind)
+                  for kind in ended)
     return BlockTree(rows, cols, row, col, children, adm), terms
 
 
@@ -411,12 +430,8 @@ def sparsity_constant(bt: BlockTree) -> int:
 def refinement_counts(product_tree: BlockTree, coarse: BlockTree) -> list[int]:
     """Per admissible coarse leaf: how many product-tree blocks sit inside."""
     out = []
-    for b in coarse.admissible_leaves():
-        key = (coarse.row[b], coarse.col[b])
-        pb = product_tree.index.get(key)
-        if pb is None:
-            raise InvalidInputError("coarse tree is not contained in the "
-                                    "product tree")
+    at = product_tree.locate(coarse)
+    for pb in at[coarse.admissible_leaf_flags].tolist():
         count = 0
         stack = [pb]
         while stack:

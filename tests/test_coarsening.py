@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import h2mul
-from h2mul import coarsening
 from h2mul import (BlockTree, ColumnTree, InvalidInputError, build_block_tree,
                    build_cluster_tree, build_coarse_col_basis,
                    build_coarse_row_basis, coarsen, dense, expand_basis,
@@ -321,23 +320,6 @@ class TestSubdividedNearfieldRejected:
         colstate = build_coarse_col_basis(g, x.block_tree, 1e-6)
         with pytest.raises(InvalidInputError):
             project_final(g, rowstate, colstate, bad)
-
-
-class TestCoarseTreeMappedOnce:
-    def test_one_check_and_coverage_per_coarsen(self, monkeypatch):
-        x, _, g = small_product(seed=19, n=64, tol=1e-4)
-        assert g.block_tree.nblocks > x.block_tree.nblocks
-        calls = {"_validate_coarse": 0, "_coverage": 0}
-        for name in calls:
-            original = getattr(coarsening, name)
-
-            def counted(*args, name=name, original=original):
-                calls[name] += 1
-                return original(*args)
-
-            monkeypatch.setattr(coarsening, name, counted)
-        coarsen(g, x.block_tree, 1e-4)
-        assert calls == {"_validate_coarse": 1, "_coverage": 1}
 
 
 class TestProjectFinal:

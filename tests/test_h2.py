@@ -69,9 +69,7 @@ class TestMatvec:
         for b in x.nearfield:
             x.nearfield[b][...] = 0.0
         v = rng.standard_normal(x.shape[1])
-        y = rng.standard_normal(x.shape[0])
-        out = h2_matvec(x, v, y.copy())
-        assert np.allclose(out, y)
+        assert (h2_matvec(x, v) == 0.0).all()
 
     def test_zero_vector(self):
         rng = np.random.default_rng(3)
@@ -87,15 +85,6 @@ class TestMatvec:
         got = h2_matvec(g, v)
         ref = dense @ v
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    def test_alpha_and_accumulate(self):
-        rng = np.random.default_rng(5)
-        x, _ = random_h2_pair(rng, n=20)
-        dense = to_dense(x)
-        v = rng.standard_normal(x.shape[1])
-        y0 = rng.standard_normal(x.shape[0])
-        got = h2_matvec(x, v, y0.copy(), alpha=-2.5)
-        assert np.allclose(got, y0 - 2.5 * (dense @ v))
 
     def test_adjoint_symmetric_instance(self):
         rng = np.random.default_rng(6)
@@ -222,21 +211,6 @@ class TestPackedMatvec:
         adj = h2_matvec_adjoint(g, w) - dense.T @ w
         assert np.linalg.norm(fwd) <= tol * np.linalg.norm(v)
         assert np.linalg.norm(adj) <= tol * np.linalg.norm(w)
-
-    @pytest.mark.parametrize("case", DEGENERATE)
-    def test_accumulates_in_place(self, case):
-        g = degenerate_instance(case)
-        dense = to_dense(g)
-        rng = np.random.default_rng(42)
-        v = rng.standard_normal(g.shape[1])
-        w = rng.standard_normal(g.shape[0])
-        y0 = rng.standard_normal(g.shape[0])
-        x0 = rng.standard_normal(g.shape[1])
-        y, x = y0.copy(), x0.copy()
-        assert h2_matvec(g, v, y, alpha=-1.5) is y
-        assert h2_matvec_adjoint(g, w, x, alpha=0.25) is x
-        assert np.allclose(y, y0 - 1.5 * (dense @ v), atol=1e-12)
-        assert np.allclose(x, x0 + 0.25 * (dense.T @ w), atol=1e-12)
 
     @pytest.mark.parametrize("case", DEGENERATE)
     def test_one_product_per_shape_group(self, case, monkeypatch):

@@ -113,7 +113,10 @@ class TestInducedRowBasis:
         dx = to_dense(x)
         bx = x.block_tree
         t_rows, t_mid = bx.rows, bx.cols
-        for (t, s), a in res.block_projections.items():
+        assert set(res.block_projections) == \
+            set(np.flatnonzero(~bx.admissible_leaf_flags).tolist())
+        for b, a in res.block_projections.items():
+            t, s = bx.row[b], bx.col[b]
             q = expand_basis(res.q, t)
             vy = expand_basis(y.row_basis, s)
             ref = q.T @ dx[t_rows.index_range(t), t_mid.index_range(s)] @ vy
@@ -204,8 +207,8 @@ def per_term_product(x, y, qrow, qcol, pxy):
     dx, dy = to_dense(x), to_dense(y)
     out = np.zeros((dx.shape[0], dy.shape[1]))
     for kind in (KIND_A, KIND_B, KIND_C):
-        for b, s in zip(*(a.tolist() for a in terms[kind])):
-            t, r = pt.row[b], pt.col[b]
+        for b, bts, bsr in zip(*(a.tolist() for a in terms[kind])):
+            t, s, r = pt.row[b], bx.col[bts], pt.col[b]
             i, j, k = (rows.index_range(t), mid.index_range(s),
                        cols.index_range(r))
             if pt.is_inadmissible_leaf(b):
@@ -213,15 +216,13 @@ def per_term_product(x, y, qrow, qcol, pxy):
                 continue
             assert kind != KIND_C
             if kind == KIND_A:  # (s, r) admissible: Y|sr = V_s S_y W_r^T
-                left = qrow.block_projections.get((t, s))
+                left = qrow.block_projections.get(bts)
                 if left is None:  # (t, s) admissible too
-                    left = (qrow.basis_change[t] @ x.coupling[bx.index[t, s]]
-                            @ pxy.p[s])
-                part = (left @ y.coupling[by.index[s, r]]
-                        @ qcol.basis_change[r].T)
+                    left = qrow.basis_change[t] @ x.coupling[bts] @ pxy.p[s]
+                part = left @ y.coupling[bsr] @ qcol.basis_change[r].T
             else:  # (t, s) admissible: X|ts = V_t S_x W_s^T
-                part = (qrow.basis_change[t] @ x.coupling[bx.index[t, s]]
-                        @ qcol.block_projections[(r, s)].T)
+                part = (qrow.basis_change[t] @ x.coupling[bts]
+                        @ qcol.block_projections[bsr].T)
             out[i, k] += (expand_basis(qrow.q, t) @ part
                           @ expand_basis(qcol.q, r).T)
     return out
@@ -230,7 +231,8 @@ def per_term_product(x, y, qrow, qcol, pxy):
 class TestAssembleProduct:
     @pytest.mark.parametrize("case", ["log-1d", "unbalanced", "dense-only",
                                       "slp-sphere", "dlp-slp-cube",
-                                      "max-rank", "deep-rows", "deep-cols"])
+                                      "max-rank", "deep-rows", "deep-cols",
+                                      "deep-middle"])
     def test_matches_per_term_reference(self, case):
         max_rank = None
         if case == "log-1d":
@@ -246,10 +248,8 @@ class TestAssembleProduct:
             x = y = build_problem(KernelProblem.slp_sphere(512, order=3),
                                   eta=2.0).h2
             pt, terms = build_product_block_tree(x.block_tree, y.block_tree)
-            blocks, mids = terms[KIND_A]
-            t = np.asarray(pt.row)[blocks]
-            doubly = np.array([x.block_tree.is_admissible_leaf(
-                x.block_tree.index[a, b]) for a, b in zip(t, mids)])
+            blocks, x_ids, _ = terms[KIND_A]
+            doubly = x.block_tree.admissible_leaf_flags[x_ids]
             dense = pt.inadmissible_leaf_flags[blocks]
             assert (doubly & ~dense).any() and dense.any()
             assert not pt.leaf_flags[np.concatenate(
@@ -275,6 +275,16 @@ class TestAssembleProduct:
                 (pt.row[pt.children[b][0]] != pt.row[b],
                  pt.col[pt.children[b][0]] != pt.col[b])
                 for b in ends[~pt.leaf_flags[ends]].tolist()}
+        elif case == "deep-middle":
+            # a deep middle tree: blocks of X at leaf rows are subdivided,
+            # so the leaf-row descent of the induced row basis runs
+            rng = np.random.default_rng(0)
+            t_i, t_j, t_k = (random_cluster_tree(rng, 64, s)
+                             for s in (8, 2, 8))
+            x, y = random_h2(rng, t_i, t_j), random_h2(rng, t_j, t_k)
+            bx = x.block_tree
+            leaf_rows = np.array([bx.rows.is_leaf(t) for t in bx.row])
+            assert (leaf_rows & ~bx.leaf_flags).any()
         else:  # induced bases capped by max_rank
             x = y = build_problem(KernelProblem.log_1d(256), eta=2.0).h2
             max_rank = 5

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from h2mul import (InvalidInputError, admissible, admissible_boxes,
+from h2mul import (BlockTree, InvalidInputError, admissible, admissible_boxes,
                    build_block_tree, build_cluster_tree,
                    build_coarse_row_basis, build_product_block_tree,
                    multiply, refinement_counts, sparsity_constant, to_dense)
@@ -200,6 +200,25 @@ def preorder(bt):
     return out
 
 
+def pruned(bt, cut):
+    """``bt`` without the descendants of the blocks where ``cut`` holds,
+    renumbered in preorder."""
+    row, col, children, adm = [], [], [], []
+
+    def rec(b):
+        i = len(row)
+        row.append(bt.row[b])
+        col.append(bt.col[b])
+        children.append(())
+        adm.append(bt.admissible[b])
+        if not cut[b]:
+            children[i] = tuple(rec(c) for c in bt.children[b])
+        return i
+
+    rec(bt.root)
+    return BlockTree(bt.rows, bt.cols, row, col, children, adm)
+
+
 class TestBlockTreeQueries:
     CASES = ["block", "block-T", "product", "product-T"]
 
@@ -233,6 +252,25 @@ class TestBlockTreeQueries:
                 ref.append(hit)
             got = bt.below(mask)
             assert got.dtype == bool and got.tolist() == ref
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_locate_matches_index(self, case):
+        bt = query_tree(case)
+        cut = np.random.default_rng(bt.nblocks).random(bt.nblocks) < 0.1
+        sub = pruned(bt, cut)
+        assert 1 < sub.nblocks < bt.nblocks
+        for other in (bt, sub):
+            got = bt.locate(other)
+            assert got.dtype == np.intp
+            assert got.tolist() == [bt.index[other.row[b], other.col[b]]
+                                    for b in range(other.nblocks)]
+        with pytest.raises(InvalidInputError):  # blocks sub does not have
+            sub.locate(bt)
+        rng = np.random.default_rng(5)
+        foreign = random_cluster_tree(rng, bt.rows.npoints + 3, 3)
+        with pytest.raises(InvalidInputError):  # other row cluster tree
+            bt.locate(BlockTree(foreign, bt.cols, bt.row, bt.col,
+                                bt.children, bt.admissible))
 
 
 class TestProductBlockTree:
@@ -270,6 +308,16 @@ class TestProductBlockTree:
         pt, _ = build_product_block_tree(bt, bt)
         counts = refinement_counts(pt, bt)
         assert max(counts) <= 16
+
+    def test_refinement_counts_rejects_foreign_tree(self):
+        # block ids of trees on other cluster trees can coincide
+        rng = np.random.default_rng(0)
+        t64 = random_cluster_tree(rng, 64, 4)
+        t48 = random_cluster_tree(rng, 48, 4)
+        bt = build_block_tree(t64, t64, 1.0)
+        pt, _ = build_product_block_tree(bt, bt)
+        with pytest.raises(InvalidInputError):
+            refinement_counts(pt, build_block_tree(t48, t48, 1.0))
 
     def test_leaves_tile(self):
         rng = np.random.default_rng(4)
@@ -318,16 +366,23 @@ class TestProductBlockTree:
                 else self._log_1d_pair())
         pt, terms = build_product_block_tree(x.block_tree, y.block_tree)
         assert len(terms) == 3
-        rows, mid, cols = pt.rows, x.block_tree.cols, pt.cols
+        bx, by = x.block_tree, y.block_tree
+        rows, mid, cols = pt.rows, bx.cols, pt.cols
         dx, dy = to_dense(x), to_dense(y)
         total = np.zeros((dx.shape[0], dy.shape[1]))
         pairs = set()
         for kind in (KIND_A, KIND_B, KIND_C):
-            blocks, mids = terms[kind]
-            assert blocks.dtype == np.intp and mids.dtype == np.intp
-            assert blocks.shape == mids.shape
+            blocks, xb, yb = terms[kind]
+            assert all(a.dtype == np.intp and a.shape == blocks.shape
+                       for a in (xb, yb))
             assert (np.diff(blocks) >= 0).all()  # sorted by block
-            for b, s in zip(blocks.tolist(), mids.tolist()):
+            for b, bts, bsr in zip(*(a.tolist() for a in terms[kind])):
+                # X|ts Y|sr at the product block (t, r)
+                assert bx.row[bts] == pt.row[b] and by.col[bsr] == pt.col[b]
+                s = bx.col[bts]
+                assert by.row[bsr] == s
+                assert [by.is_admissible_leaf(bsr), bx.is_admissible_leaf(bts),
+                        bx.is_leaf(bts) and by.is_leaf(bsr)][kind]
                 assert (b, s) not in pairs  # every middle ends once
                 pairs.add((b, s))
                 t = rows.index_range(pt.row[b])
