@@ -23,7 +23,7 @@ from .induced import (InducedBasisResult, assemble_product,
                       multiply)
 from .problems import (Geometry, KernelProblem, ModelInstance, build_geometry,
                        build_h2_by_interpolation, build_problem,
-                       dense_kernel_matrix, kernel_matrix)
+                       kernel_matrix)
 from .trees import (BlockTree, ClusterTree, ColumnTree, admissible,
                     admissible_boxes, build_block_tree, build_cluster_tree,
                     build_product_block_tree, refinement_counts,

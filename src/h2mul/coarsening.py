@@ -105,7 +105,7 @@ def _coarse_blocks(pt: BlockTree, coarse: BlockTree) -> np.ndarray:
     if split.any():
         b = int(np.flatnonzero(split)[0])
         raise InvalidInputError(
-            f"inadmissible coarse leaf {(coarse.row[b], coarse.col[b])} is "
+            f"inadmissible coarse leaf ({coarse.row[b]}, {coarse.col[b]}) is "
             "subdivided in the product block tree")
     return at
 
@@ -245,9 +245,7 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
     coupling = PackedBlocks.zero_couplings(coarse, qrow, qcol)
     nearfield = g.packed_nearfield if coarse is pt \
         else PackedBlocks.zero_nearfield(coarse)
-    for b in range(coarse.nblocks):
-        if not coarse.is_leaf(b):
-            continue
+    for b in coarse.leaves():
         t, r = coarse.row[b], coarse.col[b]
         pb = at[b]
         if coarse.admissible[b]:

@@ -140,15 +140,14 @@ class ClusterBasis:
         self.rank = rank = list(rank)
         children = tree.children
         # breadth-first coefficient offsets: siblings are adjacent
-        order = tree.breadth_first
+        order = np.argsort(tree.levels, kind="stable")
         ranks = np.asarray(rank, np.intp)
         off = np.empty(tree.nnodes, np.intp)
         off[order] = np.cumsum(ranks[order]) - ranks[order]
         self.offset = offset = off.tolist()
         self.ncoef = int(ranks.sum())
         depth = tree.levels.tolist()
-        first = np.array([offset[c[0]] if c else 0 for c in children],
-                         np.intp)
+        first = np.append(off[1:], 0)  # t's first child is t + 1 (preorder)
 
         self.leaf_groups, views = _copied_groups(
             leaf_matrix, [m.shape for m in leaf_matrix.values()],
@@ -162,7 +161,7 @@ class ClusterBasis:
         self.transfer_stack = MappingProxyType(views)
         transfer = {}
         for t, stack in views.items():
-            at = offset[children[t][0]]
+            at = offset[t + 1]
             for c in children[t]:
                 transfer[c] = stack[offset[c] - at:offset[c] - at + rank[c]]
         self.transfer = MappingProxyType(transfer)
@@ -347,8 +346,8 @@ class PackedBlocks:
         bt = block_tree
         ids = np.flatnonzero(bt.admissible_leaf_flags)
         return cls._zeros(
-            ids, np.asarray(row_basis.rank, np.intp)[np.asarray(bt.row)[ids]],
-            np.asarray(col_basis.rank, np.intp)[np.asarray(bt.col)[ids]],
+            ids, np.asarray(row_basis.rank, np.intp)[bt.row[ids]],
+            np.asarray(col_basis.rank, np.intp)[bt.col[ids]],
             _coupling_layout(bt, row_basis, col_basis))
 
     @classmethod
@@ -357,8 +356,8 @@ class PackedBlocks:
         bt = block_tree
         ids = np.flatnonzero(bt.inadmissible_leaf_flags)
         return cls._zeros(
-            ids, (bt.rows.stop - bt.rows.start)[np.asarray(bt.row)[ids]],
-            (bt.cols.stop - bt.cols.start)[np.asarray(bt.col)[ids]],
+            ids, (bt.rows.stop - bt.rows.start)[bt.row[ids]],
+            (bt.cols.stop - bt.cols.start)[bt.col[ids]],
             _nearfield_layout(bt))
 
     def add(self, ids: np.ndarray, parts: np.ndarray):
@@ -385,7 +384,7 @@ class PackedBlocks:
         ``groups`` their index views, in place: the transpose shares both."""
         if "rows" not in self._shared:
             bt, row_start, col_start = self.layout
-            rows, cols = np.asarray(bt.row), np.asarray(bt.col)
+            rows, cols = bt.row, bt.col
             if self.flipped:  # the stored rows are this matrix's columns
                 rows, cols = cols, rows
                 row_start, col_start = col_start, row_start
@@ -513,8 +512,7 @@ def _validate_basis(basis: ClusterBasis, tree: ClusterTree, side: str):
     if len(basis.rank) != tree.nnodes:
         raise InvalidInputError(f"{side} basis has {len(basis.rank)} ranks "
                                 f"for {tree.nnodes} clusters")
-    for t in range(tree.nnodes):
-        children = tree.children[t]
+    for t, children in enumerate(tree.children):
         if not children:
             m = basis.leaf_matrix.get(t)
             if m is None or m.shape != (tree.size(t), basis.rank[t]):
@@ -586,13 +584,10 @@ def matvec_cost(g: H2Matrix) -> int:
     """Multiply-add count of one matvec (structural, not measured)."""
     cost = 0
     for basis in (g.row_basis, g.col_basis):
-        tree = basis.tree
-        for t in range(tree.nnodes):
-            if tree.is_leaf(t):
-                cost += tree.size(t) * basis.rank[t]
-            else:
-                for c in tree.children[t]:
-                    cost += basis.rank[c] * basis.rank[t]
+        tree, rank = basis.tree, np.asarray(basis.rank, np.intp)
+        leaf = tree.leaf_flags
+        cost += int((tree.stop - tree.start)[leaf] @ rank[leaf])
+        cost += int(rank[1:] @ rank[tree.parent[1:]])
     for b, s_ts in g.coupling.items():
         cost += s_ts.shape[0] * s_ts.shape[1]
     for b, m in g.nearfield.items():

@@ -275,7 +275,7 @@ def _term_sums(pt: BlockTree, blocks: np.ndarray, left_ids: np.ndarray,
     ids, first, block_of = np.unique(blocks, return_index=True,
                                      return_inverse=True)
     dense = pt.inadmissible_leaf_flags[ids]
-    t_of, r_of = np.asarray(pt.row)[ids], np.asarray(pt.col)[ids]
+    t_of, r_of = pt.row[ids], pt.col[ids]
     rows, cols = pt.rows, pt.cols
     height = np.where(dense, (rows.stop - rows.start)[t_of],
                       np.asarray(ranks[0], np.intp)[t_of])

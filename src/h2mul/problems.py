@@ -23,7 +23,6 @@ __all__ = [
     "Geometry",
     "ModelInstance",
     "build_geometry",
-    "dense_kernel_matrix",
     "kernel_matrix",
     "build_h2_by_interpolation",
     "build_problem",
@@ -204,16 +203,6 @@ def kernel_matrix(kernel: str, xi, wi, xj, wj, normals_i=None) -> np.ndarray:
     return vals * np.outer(wi, wj)
 
 
-def dense_kernel_matrix(p: KernelProblem, guard: int = DENSE_GUARD) -> np.ndarray:
-    """Full kernel matrix in construction order (guarded)."""
-    if p.n > guard:
-        raise InvalidInputError(f"dense matrix of size {p.n} refused "
-                                f"(guard {guard})")
-    geo = build_geometry(p)
-    return kernel_matrix(p.kernel, geo.points, geo.weights,
-                         geo.points, geo.weights, geo.normals)
-
-
 def _cheb_nodes_1d(a: float, b: float, m: int) -> np.ndarray:
     if m == 1:
         return np.array([0.5 * (a + b)])
@@ -269,8 +258,7 @@ def _plain_basis(tree: ClusterTree, interp: _Interpolation,
                  weights: np.ndarray) -> ClusterBasis:
     rank = [interp.rank(t) for t in range(tree.nnodes)]
     leaf, stacks = {}, {}
-    for t in range(tree.nnodes):
-        children = tree.children[t]
+    for t, children in enumerate(tree.children):
         if children:
             # the children's transfers: t's polynomials at their points
             stacks[t] = interp.evaluate(

@@ -85,9 +85,8 @@ def total_weights(y: H2Matrix, rw: BasisWeights | None,
     else:
         norms = dict(zip(blocks, spectral_norms(blocks.values())))
     z: dict[int, np.ndarray] = {}
-    pushed: dict[int, np.ndarray] = {}  # child -> parent weight, pushed down
-    for s in range(tree.nnodes):
-        parts = [pushed.pop(s)] if s in pushed else []
+    for s, up in enumerate(tree.parent.tolist()):  # parents first
+        parts = [z[up] @ vy.transfer[s].T] if up >= 0 else []
         for b in row_map[s]:
             block = blocks[b]
             if norms is not None:
@@ -95,11 +94,5 @@ def total_weights(y: H2Matrix, rw: BasisWeights | None,
                     continue
                 block = block / norms[b]
             parts.append(block)
-        if parts:
-            stacked = np.vstack(parts)
-        else:
-            stacked = np.zeros((0, vy.rank[s]))
-        z[s] = qr_r(stacked)
-        for c in tree.children[s]:
-            pushed[c] = z[s] @ vy.transfer[c].T
+        z[s] = qr_r(np.vstack(parts) if parts else np.zeros((0, vy.rank[s])))
     return TotalWeights(tree, z)

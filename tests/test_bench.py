@@ -22,7 +22,7 @@ def dense_as_h2(g):
     # simpler: build a one-block tree over the same clusters
     from h2mul import BlockTree, ClusterBasis
     rows, cols = bt.rows, bt.cols
-    one = BlockTree(rows, cols, [rows.root], [cols.root], [()], [False])
+    one = BlockTree(rows, cols, [rows.root], [cols.root], [-1], [False])
     empty_row = ClusterBasis(rows, [0] * rows.nnodes,
                              {t: np.zeros((rows.size(t), 0))
                               for t in rows.leaves()},

@@ -40,7 +40,7 @@ class TestInducedRowBasis:
         for b in by.admissible_leaves():
             s, r = by.row[b], by.col[b]
             for t in range(t_rows.nnodes):
-                if (t, s) not in x.block_tree.index:
+                if x.block_tree.find(t, s) < 0:
                     continue
                 block = dx[t_rows.index_range(t), by.rows.index_range(s)] @ \
                     dy[by.rows.index_range(s), by.cols.index_range(r)]
@@ -134,12 +134,12 @@ class TestInducedRowBasis:
         dx, dy = to_dense(x), to_dense(y)
         bx, by = x.block_tree, y.block_tree
         t_rows, t_mid, t_cols = bx.rows, bx.cols, by.cols
-        depth = t_rows.depth() + 1
+        depth = t_rows.levels.max() + 1
         for b in by.admissible_leaves():
             s, r = by.row[b], by.col[b]
             for t in range(t_rows.nnodes):
-                bts = bx.index.get((t, s))
-                if bts is None or bx.is_admissible_leaf(bts):
+                bts = int(bx.find(t, s))
+                if bts < 0 or bx.is_admissible_leaf(bts):
                     continue
                 xts = dx[t_rows.index_range(t), t_mid.index_range(s)]
                 ysr = dy[t_mid.index_range(s), t_cols.index_range(r)]
@@ -176,8 +176,8 @@ class TestInducedColBasis:
         for b in bx.admissible_leaves():
             t, s = bx.row[b], bx.col[b]
             for r in range(t_cols.nnodes):
-                bsr = by.index.get((s, r))
-                if bsr is None or by.is_admissible_leaf(bsr):
+                bsr = int(by.find(s, r))
+                if bsr < 0 or by.is_admissible_leaf(bsr):
                     continue
                 block = dx[t_rows.index_range(t), t_mid.index_range(s)] @ \
                     dy[t_mid.index_range(s), t_cols.index_range(r)]
@@ -346,8 +346,8 @@ class TestAssembleProduct:
         pt, _ = build_product_block_tree(x.block_tree, y.block_tree)
         prod = assemble_product(x, y, qrow, qcol, pxy)
         bt = prod.block_tree
-        assert (bt.row, bt.col, bt.children, bt.admissible) == \
-            (pt.row, pt.col, pt.children, pt.admissible)
+        assert all(np.array_equal(getattr(bt, a), getattr(pt, a))
+                   for a in ("row", "col", "parent", "admissible"))
         assert bt.rows is pt.rows and bt.cols is pt.cols
         prod.validate()
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from h2mul import (InvalidInputError, KernelProblem, build_geometry,
-                   build_problem, dense_kernel_matrix,
-                   expand_basis, to_dense)
+                   build_problem, expand_basis, to_dense)
 from util import rel_spectral
 
 
@@ -44,13 +43,14 @@ class TestGeometry:
 
 class TestDenseKernelMatrix:
     def test_single_layer_symmetric(self):
-        g = dense_kernel_matrix(KernelProblem.slp_sphere(32))
+        g = build_problem(KernelProblem.slp_sphere(32)).dense()
         assert np.array_equal(g, g.T)
         assert np.allclose(np.diag(g), 0.0)
 
     def test_1d_log_kernel_matches_direct(self):
-        g = dense_kernel_matrix(KernelProblem.log_1d(4))
-        pts = (np.arange(4) + 0.5) / 4
+        inst = build_problem(KernelProblem.log_1d(4))
+        g = inst.dense()
+        pts = ((np.arange(4) + 0.5) / 4)[inst.tree.perm]
         for i in range(4):
             for j in range(4):
                 if i == j:
@@ -60,12 +60,12 @@ class TestDenseKernelMatrix:
                     assert np.isclose(g[i, j], ref)
 
     def test_sphere_row_sums_positive(self):
-        g = dense_kernel_matrix(KernelProblem.slp_sphere(128))
+        g = build_problem(KernelProblem.slp_sphere(128)).dense()
         assert (g.sum(axis=1) > 0).all()
 
     def test_guard(self):
         with pytest.raises(InvalidInputError):
-            dense_kernel_matrix(KernelProblem.log_1d(4096), guard=1024)
+            build_problem(KernelProblem.log_1d(4096)).dense(guard=1024)
 
 
 class TestInterpolationH2:
@@ -158,3 +158,9 @@ class TestInterpolationH2:
         from h2mul import h2_matvec
         ref = to_dense(inst.h2) @ v
         assert np.linalg.norm(h2_matvec(inst.h2, v) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_build_problem_rejects_nan_leaf_size():
+    # a NaN leaf size would never split: one dense block
+    with pytest.raises(InvalidInputError):
+        build_problem(KernelProblem.log_1d(64), leaf_size=np.nan)

@@ -6,7 +6,9 @@ from h2mul import (BlockTree, InvalidInputError, admissible, admissible_boxes,
                    build_coarse_row_basis, build_product_block_tree,
                    multiply, refinement_counts, sparsity_constant, to_dense)
 from h2mul.trees import KIND_A, KIND_B, KIND_C
-from util import random_cluster_tree, random_h2, unbalanced_pair
+from util import (random_cluster_tree, random_h2, reference_block_tree,
+                  reference_cluster_tree, reference_product_tree,
+                  unbalanced_pair)
 
 
 class TestClusterTree:
@@ -81,6 +83,13 @@ class TestClusterTree:
         pts[5, 1] = bad
         with pytest.raises(InvalidInputError):
             build_cluster_tree(pts, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0, 0.5])
+    def test_bad_leaf_size_rejected(self, bad):
+        # a NaN leaf size would never split: one cluster for all points
+        pts = np.random.default_rng(4).uniform(size=(50, 2))
+        with pytest.raises(InvalidInputError):
+            build_cluster_tree(pts, bad)
 
 
 class TestAdmissibility:
@@ -203,20 +212,20 @@ def preorder(bt):
 def pruned(bt, cut):
     """``bt`` without the descendants of the blocks where ``cut`` holds,
     renumbered in preorder."""
-    row, col, children, adm = [], [], [], []
+    row, col, parent, adm = [], [], [], []
 
-    def rec(b):
+    def rec(b, up):
         i = len(row)
         row.append(bt.row[b])
         col.append(bt.col[b])
-        children.append(())
+        parent.append(up)
         adm.append(bt.admissible[b])
         if not cut[b]:
-            children[i] = tuple(rec(c) for c in bt.children[b])
-        return i
+            for c in bt.children[b]:
+                rec(c, i)
 
-    rec(bt.root)
-    return BlockTree(bt.rows, bt.cols, row, col, children, adm)
+    rec(bt.root, -1)
+    return BlockTree(bt.rows, bt.cols, row, col, parent, adm)
 
 
 class TestBlockTreeQueries:
@@ -259,10 +268,12 @@ class TestBlockTreeQueries:
         cut = np.random.default_rng(bt.nblocks).random(bt.nblocks) < 0.1
         sub = pruned(bt, cut)
         assert 1 < sub.nblocks < bt.nblocks
+        index = {(t, s): b for b, (t, s)
+                 in enumerate(zip(bt.row.tolist(), bt.col.tolist()))}
         for other in (bt, sub):
             got = bt.locate(other)
             assert got.dtype == np.intp
-            assert got.tolist() == [bt.index[other.row[b], other.col[b]]
+            assert got.tolist() == [index[other.row[b], other.col[b]]
                                     for b in range(other.nblocks)]
         with pytest.raises(InvalidInputError):  # blocks sub does not have
             sub.locate(bt)
@@ -270,7 +281,7 @@ class TestBlockTreeQueries:
         foreign = random_cluster_tree(rng, bt.rows.npoints + 3, 3)
         with pytest.raises(InvalidInputError):  # other row cluster tree
             bt.locate(BlockTree(foreign, bt.cols, bt.row, bt.col,
-                                bt.children, bt.admissible))
+                                bt.parent, bt.admissible))
 
 
 class TestProductBlockTree:
@@ -308,6 +319,17 @@ class TestProductBlockTree:
         pt, _ = build_product_block_tree(bt, bt)
         counts = refinement_counts(pt, bt)
         assert max(counts) <= 16
+
+    def test_factor_without_a_needed_block_rejected(self):
+        # a dense root block against a subdivided tree: the product needs
+        # blocks (t, root) that the one-block factor does not have
+        rng = np.random.default_rng(0)
+        tree = random_cluster_tree(rng, 64, 4)
+        one = BlockTree(tree, tree, [0], [0], [-1], [False])
+        bt = build_block_tree(tree, tree, 1.0)
+        for bx, by in ((one, bt), (bt, one)):
+            with pytest.raises(InvalidInputError):
+                build_product_block_tree(bx, by)
 
     def test_refinement_counts_rejects_foreign_tree(self):
         # block ids of trees on other cluster trees can coincide
@@ -353,6 +375,17 @@ class TestProductBlockTree:
             consts.append(sparsity_constant(pt))
         assert consts[2] <= consts[1] + 2
         assert max(consts) <= 24
+
+    def test_sparsity_counts_column_clusters(self):
+        # every block of a tree against one leaf column cluster shares
+        # that column: C_sp is the number of blocks, not 1
+        rng = np.random.default_rng(0)
+        rows = build_cluster_tree(rng.uniform(size=64), 2)
+        cols = build_cluster_tree(rng.uniform(size=8), 8)
+        bt = build_block_tree(rows, cols, 1.0)
+        assert bt.nblocks == 63 and set(bt.col) == {cols.root}
+        assert sparsity_constant(bt) == 63
+        assert sparsity_constant(bt.transposed()) == 63
 
     @staticmethod
     def _log_1d_pair():
@@ -450,3 +483,97 @@ class TestColumnTree:
                     expected.add(pt.col[b2])
                 stack.extend(pt.children[b2])
             assert inadm == expected
+
+
+def point_set(kind, dim, n=45, seed=0):
+    rng = np.random.default_rng(seed + dim)
+    if kind == "uniform":
+        return rng.uniform(size=(n, dim))
+    if kind == "coincident":  # a handful of sites, each holding many points
+        return rng.integers(0, 3, size=(n, dim)) / 3.0
+    return (np.arange(n)[:, None] + 0.5) / n * np.ones(dim)  # on a diagonal
+
+
+def deep_pair(sizes):
+    """The block trees of the deep-rows, deep-cols or deep-middle pairs
+    (random trees on 64 points of unequal leaf sizes)."""
+    rng = np.random.default_rng(0)
+    t_i, t_j, t_k = (random_cluster_tree(rng, 64, s) for s in sizes)
+    return build_block_tree(t_i, t_j, 1.0), build_block_tree(t_j, t_k, 1.0)
+
+
+PAIRS = {"unbalanced": lambda: tuple(g.block_tree for g in unbalanced_pair()),
+         "deep-rows": lambda: deep_pair((2, 8, 8)),
+         "deep-cols": lambda: deep_pair((8, 8, 2)),
+         "deep-middle": lambda: deep_pair((8, 2, 8))}
+
+
+def assert_preorder_ranges(tree):
+    """The descendants of every node b, b included, are the ids
+    b ... end[b] - 1."""
+    n = tree.parent.size
+    below = [{b} for b in range(n)]
+    for c in range(n):
+        up = tree.parent[c]
+        while up >= 0:
+            below[up].add(c)
+            up = tree.parent[up]
+    assert [set(range(b, e)) for b, e in enumerate(tree.end.tolist())] \
+        == below
+
+
+def assert_same_block_tree(bt, ref):
+    assert all(np.array_equal(getattr(bt, a), r) for a, r
+               in zip(("row", "col", "parent", "admissible"), ref))
+
+
+def term_set(terms):
+    return {(kind, *ids) for kind, triple in enumerate(terms)
+            for ids in zip(*(a.tolist() for a in triple))}
+
+
+class TestLevelWiseBuilders:
+    """The level-wise builders give the trees of the recursive reference
+    builders (tests/util.py), node for node, and number them in
+    preorder."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["uniform", "coincident", "diagonal"])
+    def test_cluster_block_and_product_trees(self, kind, dim):
+        pts = point_set(kind, dim)
+        for leaf_size in range(1, 9):
+            tree = build_cluster_tree(pts, leaf_size)
+            ref = reference_cluster_tree(pts, leaf_size)
+            assert all(np.array_equal(getattr(tree, a), r) for a, r in zip(
+                ("points", "perm", "start", "stop", "parent", "split_axis",
+                 "bbox_min", "bbox_max"), ref))
+            assert_preorder_ranges(tree)
+            other = build_cluster_tree(point_set("uniform", dim, 30, 7),
+                                       leaf_size)
+            for eta in (0.5, 1.0, 2.0, 4.0):
+                bt = build_block_tree(tree, other, eta)
+                assert_same_block_tree(bt, reference_block_tree(tree, other,
+                                                                eta))
+                assert_preorder_ranges(bt)
+            bx, by = build_block_tree(tree, tree, 1.0), \
+                build_block_tree(tree, other, 2.0)
+            pt, terms = build_product_block_tree(bx, by)
+            ref, ref_terms = reference_product_tree(bx, by)
+            assert_same_block_tree(pt, ref)
+            assert term_set(terms) == ref_terms
+            assert_preorder_ranges(pt)
+
+    @pytest.mark.parametrize("pair", list(PAIRS))
+    def test_product_tree_of_test_pairs(self, pair):
+        bx, by = PAIRS[pair]()
+        pt, terms = build_product_block_tree(bx, by)
+        ref, ref_terms = reference_product_tree(bx, by)
+        assert_same_block_tree(pt, ref)
+        assert term_set(terms) == ref_terms
+        for kind in terms:  # sorted by block, then x_block
+            assert (np.diff(kind[0] * bx.nblocks + kind[1]) > 0).all()
+        for tree in (bx, by, pt, bx.rows, bx.cols, by.cols):
+            assert_preorder_ranges(tree)
+        for bt in (bx, by):
+            assert_same_block_tree(bt, reference_block_tree(bt.rows, bt.cols,
+                                                            1.0))

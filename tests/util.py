@@ -65,3 +65,110 @@ def rel_spectral(a, b):
     if denom == 0.0:
         return np.linalg.norm(a - b, 2)
     return np.linalg.norm(a - b, 2) / denom
+
+
+# Recursive reference builders: the tree construction that the level-wise
+# builders of h2mul.trees must reproduce, node for node.  Each returns
+# plain arrays in preorder; ``parent`` is -1 at the root.
+
+def reference_cluster_tree(points, leaf_size):
+    """Recursive median bisection along the longest bounding-box axis:
+    (points, perm, start, stop, parent, split_axis, bbox_min, bbox_max)."""
+    work = np.asarray(points, np.float64)
+    work = (work[:, None] if work.ndim == 1 else work).copy()
+    perm = np.arange(work.shape[0])
+    start, stop, parent, axes, bmin, bmax = [], [], [], [], [], []
+
+    def rec(lo, hi, up):
+        node = len(start)
+        start.append(lo)
+        stop.append(hi)
+        parent.append(up)
+        axes.append(-1)
+        bmin.append(work[lo:hi].min(axis=0))
+        bmax.append(work[lo:hi].max(axis=0))
+        if hi - lo > leaf_size:
+            axis = int(np.argmax(bmax[node] - bmin[node]))
+            order = np.argsort(work[lo:hi, axis], kind="stable")
+            work[lo:hi] = work[lo:hi][order]
+            perm[lo:hi] = perm[lo:hi][order]
+            axes[node] = axis
+            mid = lo + (hi - lo + 1) // 2
+            rec(lo, mid, node)
+            rec(mid, hi, node)
+
+    rec(0, work.shape[0], -1)
+    return (work, perm, *(np.array(a) for a in
+                          (start, stop, parent, axes, bmin, bmax)))
+
+
+def reference_admissible(rows, t, cols, s, eta):
+    """The eta-condition of one cluster pair, one box at a time."""
+    diam = max(np.linalg.norm(rows.bbox_max[t] - rows.bbox_min[t]),
+               np.linalg.norm(cols.bbox_max[s] - cols.bbox_min[s]))
+    gap = np.maximum(0.0, np.maximum(cols.bbox_min[s] - rows.bbox_max[t],
+                                     rows.bbox_min[t] - cols.bbox_max[s]))
+    dist = np.linalg.norm(gap)
+    return bool(dist > 0.0 and diam <= eta * dist)
+
+
+def reference_block_tree(rows, cols, eta):
+    """Recursive block partition: (row, col, parent, admissible)."""
+    row, col, parent, adm = [], [], [], []
+
+    def rec(t, s, up):
+        b = len(row)
+        row.append(t)
+        col.append(s)
+        parent.append(up)
+        adm.append(reference_admissible(rows, t, cols, s, eta))
+        if not adm[b] and not (rows.is_leaf(t) and cols.is_leaf(s)):
+            for t2 in rows.children[t] or (t,):
+                for s2 in cols.children[s] or (s,):
+                    rec(t2, s2, b)
+
+    rec(0, 0, -1)
+    return tuple(np.array(a) for a in (row, col, parent, adm))
+
+
+def reference_product_tree(bx, by):
+    """Recursive product block tree: (row, col, parent, admissible) and
+    the set of terms (kind, block, x_block, y_block)."""
+    rows, cols, mid = bx.rows, by.cols, bx.cols
+    xi = {(t, s): b for b, (t, s) in enumerate(zip(bx.row.tolist(),
+                                                   bx.col.tolist()))}
+    yi = {(s, r): b for b, (s, r) in enumerate(zip(by.row.tolist(),
+                                                   by.col.tolist()))}
+    row, col, parent, adm, terms = [], [], [], [], set()
+
+    def rec(t, r, middles, up):
+        b = len(row)
+        row.append(t)
+        col.append(r)
+        parent.append(up)
+        adm.append(True)
+        leaves = rows.is_leaf(t) and cols.is_leaf(r)
+        nonterminal, stack = [], list(middles)
+        while stack:
+            s = stack.pop()
+            bts, bsr = xi[t, s], yi[s, r]
+            if by.is_admissible_leaf(bsr):
+                terms.add((0, b, bts, bsr))
+            elif bx.is_admissible_leaf(bts):
+                terms.add((1, b, bts, bsr))
+            elif bx.is_leaf(bts) and by.is_leaf(bsr):
+                terms.add((2, b, bts, bsr))
+                adm[b] = False
+            elif leaves:
+                stack.extend(mid.children[s])
+            else:
+                nonterminal.extend(
+                    (s,) if bx.is_leaf(bts) or by.is_leaf(bsr)
+                    else mid.children[s] or (s,))
+        if nonterminal:
+            for t2 in rows.children[t] or (t,):
+                for r2 in cols.children[r] or (r,):
+                    rec(t2, r2, nonterminal, b)
+
+    rec(0, 0, [0], -1)
+    return tuple(np.array(a) for a in (row, col, parent, adm)), terms
