@@ -70,6 +70,8 @@ class RunConfig:
         if self.max_rank is not None and self.max_rank < 0:
             raise InvalidInputError(
                 f"max_rank must be >= 0, got {self.max_rank}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -180,9 +180,8 @@ class ClusterBasis:
         return v.T @ v
 
     def storage_bytes(self) -> int:
-        total = sum(m.nbytes for m in self.leaf_matrix.values())
-        total += sum(m.nbytes for m in self.transfer.values())
-        return total
+        return sum(g.stack.nbytes
+                   for g in (*self.leaf_groups, *self.transfer_groups))
 
 
 def expand_basis(basis: ClusterBasis, t: int) -> np.ndarray:
@@ -588,15 +587,11 @@ def matvec_cost(g: H2Matrix) -> int:
         leaf = tree.leaf_flags
         cost += int((tree.stop - tree.start)[leaf] @ rank[leaf])
         cost += int(rank[1:] @ rank[tree.parent[1:]])
-    for b, s_ts in g.coupling.items():
-        cost += s_ts.shape[0] * s_ts.shape[1]
-    for b, m in g.nearfield.items():
-        cost += m.shape[0] * m.shape[1]
-    return cost
+    return cost + sum(grp.stack.size for grp in (
+        *g.packed_coupling.groups, *g.packed_nearfield.groups))
 
 
 def storage_bytes(g: H2Matrix) -> int:
-    total = g.row_basis.storage_bytes() + g.col_basis.storage_bytes()
-    total += sum(m.nbytes for m in g.coupling.values())
-    total += sum(m.nbytes for m in g.nearfield.values())
-    return total
+    return g.row_basis.storage_bytes() + g.col_basis.storage_bytes() + sum(
+        grp.stack.nbytes
+        for grp in (*g.packed_coupling.groups, *g.packed_nearfield.groups))

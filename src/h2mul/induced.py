@@ -6,14 +6,13 @@ large rank.  This module compresses those bases adaptively bottom-up,
 protecting the ranges of the factors' own bases exactly, and then
 assembles the product as an H^2-matrix over the refined tree.  Blocks
 are named by their ids in the factors' block trees: the product tree
-lists each term by its two factor blocks, and the block projections
-are keyed by X's block ids.  The projection of a subdivided block is
-formed from its children's by ``_from_children``, above leaf clusters
-and in the block descent at a leaf cluster alike.  The assembly works
-per distinct factor and per shape group, not per term: each left and
-right factor is computed once (the left ones by the compression's
-``_projected_block`` and ``_xv_at_leaf``), the terms of one kind are
-summed by batched GEMMs over buckets of groups of one shape, and the
+lists each term by its two factor blocks, and the compression's two
+tables, block projections and leaf products, are keyed by X's block
+ids.  A subdivided block's entry is formed once, from its children's,
+by ``_from_children``.  The assembly works per distinct factor and per
+shape group, not per term: each left factor is read from those tables
+by ``_block_value`` and each right factor once, the terms of one kind
+are summed by batched GEMMs over buckets of groups of one shape, and the
 outer basis change is applied once per product block.  The couplings
 of subdivided blocks are then pushed down to the leaves by one loop
 over those blocks, parents first.
@@ -52,12 +51,14 @@ class InducedBasisResult:
     Q_t^T V_{X,t}; the range of V_{X,t} is reproduced exactly, i.e.
     expand(q, t) @ basis_change[t] == expand(V_X, t) up to roundoff.
     ``block_projections[b]`` holds Q_t^T X|ts V_{Y,s} for every block
-    b = (t, s) of X's block tree that is not an admissible leaf.
+    b = (t, s) of X's block tree that is not an admissible leaf, and
+    ``leaf_products[b]`` holds X|ts V_{Y,s} for those at a leaf cluster t.
     """
 
     q: ClusterBasis
     basis_change: dict[int, np.ndarray]
     block_projections: dict[int, np.ndarray]
+    leaf_products: dict[int, np.ndarray]
 
 
 def _from_children(x: H2Matrix, y: H2Matrix, b: int, value) -> np.ndarray:
@@ -74,27 +75,16 @@ def _from_children(x: H2Matrix, y: H2Matrix, b: int, value) -> np.ndarray:
                for s2, m in stacked)
 
 
-def _xv_at_leaf(x: H2Matrix, y: H2Matrix, pxy: BasisProduct,
-                b: int) -> np.ndarray:
-    """X|ts @ V_{Y,s} for a block b = (t, s) of X at a leaf cluster t, by
-    block descent through X."""
+def _block_value(x: H2Matrix, pxy: BasisProduct, left, table,
+                 b: int) -> np.ndarray:
+    """left[t] S_X(t, s) P_s at an admissible leaf b = (t, s) of X, and
+    ``table[b]`` at every other block: with X's leaf matrices and the leaf
+    products, X|ts V_{Y,s}; with the basis changes and the block
+    projections, Q_t^T X|ts V_{Y,s}."""
     bx = x.block_tree
     if bx.is_admissible_leaf(b):
-        return x.row_basis.leaf_matrix[bx.row[b]] @ x.coupling[b] \
-            @ pxy.p[bx.col[b]]
-    if bx.is_leaf(b):
-        return x.nearfield[b] @ y.row_basis.leaf_matrix[bx.col[b]]
-    return _from_children(x, y, b, partial(_xv_at_leaf, x, y, pxy))
-
-
-def _projected_block(x: H2Matrix, pxy: BasisProduct, basis_change,
-                     projections, b: int) -> np.ndarray:
-    """Q_t^T X|ts V_{Y,s} of a block b = (t, s) of X from a compressed row
-    basis' basis changes and stored block projections."""
-    bx = x.block_tree
-    if bx.is_admissible_leaf(b):
-        return basis_change[bx.row[b]] @ x.coupling[b] @ pxy.p[bx.col[b]]
-    return projections[b]
+        return left[bx.row[b]] @ x.coupling[b] @ pxy.p[bx.col[b]]
+    return table[b]
 
 
 def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
@@ -104,14 +94,15 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
 
     Bottom-up over the row tree.  At a leaf t, the blocks
     X|ts V_{Y,s} Z_s^T for the non-admissible columns s of t are formed
-    explicitly; a Householder factorization shields the columns of
-    V_{X,t} from truncation and the remainder is cut at ``tol`` by a
-    singular value decomposition.  Above leaves the same happens in the
-    coordinates of the children's bases, so the result is nested by
-    construction.  Each block is divided by (a lower bound of) its
-    column-factor norm before truncation, yielding block-relative error
-    control; at leaves the exact norm is used, above them the projected
-    surrogate.  A negative ``max_rank`` raises InvalidInputError.
+    from the leaf products X|ts V_{Y,s}, filled children first; a
+    Householder factorization shields the columns of V_{X,t} from
+    truncation and the remainder is cut at ``tol`` by a singular value
+    decomposition.  Above leaves the same happens in the coordinates of
+    the children's bases, so the result is nested by construction.  Each
+    block is divided by (a lower bound of) its column-factor norm before
+    truncation, yielding block-relative error control; at leaves the
+    exact norm is used, above them the projected surrogate.  A negative
+    ``max_rank`` raises InvalidInputError.
     """
     if max_rank is not None and max_rank < 0:
         raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
@@ -122,14 +113,21 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
     blocks_of = bx.by_row(~bx.admissible_leaf_flags)
     basis_change: dict[int, np.ndarray] = {}
     projections: dict[int, np.ndarray] = {}
-    projected = partial(_projected_block, x, pxy, basis_change, projections)
+    products: dict[int, np.ndarray] = {}
+    projected = partial(_block_value, x, pxy, basis_change, projections)
+    product = partial(_block_value, x, pxy, x.row_basis.leaf_matrix, products)
 
     def cut(t, vx_t):
         # vx_t: the (projected) V_{X,t}; blocks[i]: (projected) X|ts_i V_{Y,s_i}
         ids = blocks_of[t]
         middles = [bx.col[b] for b in ids]
         if t_rows.is_leaf(t):
-            blocks = [_xv_at_leaf(x, y, pxy, b) for b in ids]
+            # blocks at a leaf row keep t: fill the table children first
+            for b in reversed(ids):
+                products[b] = (
+                    x.nearfield[b] @ y.row_basis.leaf_matrix[bx.col[b]]
+                    if bx.is_leaf(b) else _from_children(x, y, b, product))
+            blocks = [products[b] for b in ids]
         else:
             blocks = [_from_children(x, y, b, projected) for b in ids]
         weighted = [blk @ zy.z[s].T / nrm for s, blk, nrm
@@ -149,7 +147,7 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
                                np.zeros((svd.retained_rank, vx_t.shape[1]))])
 
     q, _ = nested_basis(x.row_basis, cut, basis_change)
-    return InducedBasisResult(q, basis_change, projections)
+    return InducedBasisResult(q, basis_change, projections, products)
 
 
 def compress_induced_col_basis(x: H2Matrix, y: H2Matrix,
@@ -160,8 +158,9 @@ def compress_induced_col_basis(x: H2Matrix, y: H2Matrix,
     ``zx_adjoint`` are the total weights of X^T, i.e. built from the
     basis weights of V_X and the transposed couplings of X.  The result
     is keyed by clusters of the column tree of Y and by Y's block ids,
-    which Y^T shares; ``basis_change[r]`` protects W_{Y,r} and
-    ``block_projections[b]`` holds Q_r^T Y|sr^T W_{X,s} for b = (s, r).
+    which Y^T shares; ``basis_change[r]`` protects W_{Y,r},
+    ``block_projections[b]`` holds Q_r^T Y|sr^T W_{X,s} for b = (s, r)
+    and ``leaf_products[b]`` Y|sr^T W_{X,s}.
     """
     return compress_induced_row_basis(y.transposed(), x.transposed(),
                                       zx_adjoint, pxy.transposed(), tol,
@@ -172,17 +171,16 @@ def _kind_a_factors(x: H2Matrix, y: H2Matrix, pxy: BasisProduct,
                     qrow: InducedBasisResult, qcol: InducedBasisResult):
     """The factors of the kind-A terms X|ts Y|sr, (s, r) admissible in Y,
     for ``_term_sums``: ``left(ids, dense)`` lists the left factors of
-    X's blocks (t, s), Q_t^T X|ts V_{Y,s} from ``_projected_block`` (the
+    X's blocks (t, s) from ``_block_value``: Q_t^T X|ts V_{Y,s} (the
     block projection, or R_t S_X(t, s) P_s where (t, s) is admissible in
-    X too) or X|ts V_{Y,s} from ``_xv_at_leaf`` at a dense target; the
-    right factors are Y's couplings S_Y(s, r), and ``outer(r, dense)``
-    the outer basis change R_r = Q_r^T W_{Y,r}, or W_{Y,r} at a dense
-    target."""
+    X too), or X|ts V_{Y,s} at a dense target (the leaf product, or
+    V_{X,t} S_X(t, s) P_s); the right factors are Y's couplings
+    S_Y(s, r), and ``outer(r, dense)`` the outer basis change
+    R_r = Q_r^T W_{Y,r}, or W_{Y,r} at a dense target."""
     def left(ids, dense):
-        if dense:
-            return [_xv_at_leaf(x, y, pxy, b) for b in ids]
-        return [_projected_block(x, pxy, qrow.basis_change,
-                                 qrow.block_projections, b) for b in ids]
+        side, table = ((x.row_basis.leaf_matrix, qrow.leaf_products) if dense
+                       else (qrow.basis_change, qrow.block_projections))
+        return [_block_value(x, pxy, side, table, b) for b in ids]
 
     def outer(r, dense):
         return (y.col_basis.leaf_matrix[r] if dense
@@ -398,19 +396,20 @@ def assemble_product(x: H2Matrix, y: H2Matrix, qrow: InducedBasisResult,
     doubly admissible case), (t, s) admissible (kind B), or both factors
     dense (kind C).  Each kind is summed by ``_term_sums``, whose work is
     per distinct factor and per shape group, not per term.  Kind A
-    computes each left factor once per distinct block (t, s) of X:
-    Q_t^T X|ts V_{Y,s} (the block projection), R_t S_X(t, s) P_s where
-    (t, s) is admissible in X too, or X|ts V_{Y,s} at a dense target.
-    It reads each coupling S_Y(s, r) once per distinct block of Y, forms the sums over s in Y's column-rank
-    space and applies R_r^T = (Q_r^T W_{Y,r})^T, or W_{Y,r}^T at a dense
-    target, once per block.  Kind B is kind A of Y^T X^T, and kind C sums
-    X's dense blocks times Y's.  Each run of sums is added by one
-    ``PackedBlocks.add`` to the blocks' couplings, to their nearfield at
-    a dense leaf, or, at subdivided blocks, to pending couplings.
-    ``_push_down`` moves those to the leaves in one loop, parents first,
-    through the transfer stacks, which is exact.  Contributions to dense
-    product blocks are evaluated exactly, without projecting onto the
-    compressed bases.
+    takes each left factor once per distinct block (t, s) of X from the
+    compression's tables: Q_t^T X|ts V_{Y,s} (the block projection),
+    R_t S_X(t, s) P_s where (t, s) is admissible in X too, or
+    X|ts V_{Y,s} (the leaf product) at a dense target.  It reads each
+    coupling S_Y(s, r) once per distinct block of Y, forms the sums over
+    s in Y's column-rank space and applies R_r^T = (Q_r^T W_{Y,r})^T, or
+    W_{Y,r}^T at a dense target, once per block.  Kind B is kind A of
+    Y^T X^T, and kind C sums X's dense blocks times Y's.  Each run of
+    sums is added by one ``PackedBlocks.add`` to the blocks' couplings,
+    to their nearfield at a dense leaf, or, at subdivided blocks, to
+    pending couplings.  ``_push_down`` moves those to the leaves in one
+    loop, parents first, through the transfer stacks, which is exact.
+    Contributions to dense product blocks are evaluated exactly, without
+    projecting onto the compressed bases.
     """
     pt, terms = build_product_block_tree(x.block_tree, y.block_tree)
     q_r, q_c = qrow.q, qcol.q

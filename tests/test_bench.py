@@ -157,6 +157,11 @@ class TestRunExperiment:
             RunConfig(max_rank=-1).validate()
         RunConfig(max_rank=0).validate()
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="seed"):
+            run_experiment(RunConfig(problem="log-1d", n=64, seed=-1))
+        RunConfig(seed=0).validate()
+
     def test_nan_eps_rejected(self):
         with pytest.raises(InvalidInputError):
             RunConfig(eps=math.nan).validate()
@@ -298,6 +303,12 @@ class TestCLI:
             main(["--problem", "log-1d", "--n", "64", "--eps", "nan"])
         assert exc.value.code == 2
         assert "eps" in capsys.readouterr().err
+
+    def test_negative_seed_diagnostics(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--problem", "log-1d", "--n", "64", "--seed", "-1"])
+        assert exc.value.code == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_bad_n_diagnostics(self, capsys):
         with pytest.raises(SystemExit):

@@ -6,7 +6,7 @@ import pytest
 from h2mul import (ClusterBasis, H2Matrix, InvalidInputError, KernelProblem,
                    build_block_tree, build_cluster_tree, build_problem,
                    cluster_basis_product, expand_basis, h2_matvec,
-                   h2_matvec_adjoint, matvec_cost, nested_basis,
+                   h2_matvec_adjoint, matvec_cost, multiply, nested_basis,
                    orthogonalize_basis, orthogonalized, recompress,
                    storage_bytes, to_dense)
 from h2mul.dense import spectral_norms
@@ -263,6 +263,12 @@ def assert_grouped(groups, store, key):
             assert len(owners) == 1 and owners[0] is grp.stack
 
 
+def per_block_bytes(basis):
+    """The bytes of a basis' leaf matrices and transfers, one by one."""
+    return sum(m.nbytes for m in [*basis.leaf_matrix.values(),
+                                  *basis.transfer.values()])
+
+
 class TestPackedStorage:
     def test_blocks_are_views_of_one_packed_array(self):
         rng = np.random.default_rng(44)
@@ -274,10 +280,18 @@ class TestPackedStorage:
                                              tree.size(bt.col[b])))
                      for b in bt.inadmissible_leaves()}
         basis = random_basis(rng, tree, 3)
+        assert basis.storage_bytes() == per_block_bytes(basis)
         expected = 2 * basis.storage_bytes() + sum(
             m.nbytes for m in [*coupling.values(), *nearfield.values()])
         g = H2Matrix(bt, basis, basis, coupling, nearfield)
         assert storage_bytes(g) == expected
+        # the shape-group sums of a product, whose bases vary in rank,
+        # are its per-block sums
+        prod = multiply(*random_h2_pair(rng, n=40), 1e-3)
+        assert storage_bytes(prod) == \
+            per_block_bytes(prod.row_basis) + per_block_bytes(prod.col_basis) \
+            + sum(m.nbytes for m in [*prod.coupling.values(),
+                                     *prod.nearfield.values()])
         gt = g.transposed()
         for given, store, packed, store_t in (
                 (coupling, g.coupling, g.packed_coupling, gt.coupling),

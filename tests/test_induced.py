@@ -6,6 +6,7 @@ from h2mul import (InvalidInputError, KernelProblem, assemble_product,
                    build_product_block_tree, cluster_basis_product, coarsen,
                    compress_induced_col_basis, compress_induced_row_basis,
                    expand_basis, multiply, to_dense, total_weights)
+from h2mul import induced
 from h2mul.trees import KIND_A, KIND_B, KIND_C
 from util import (random_cluster_tree, random_h2, random_h2_pair,
                   rel_spectral, unbalanced_pair)
@@ -120,6 +121,16 @@ class TestInducedRowBasis:
             q = expand_basis(res.q, t)
             vy = expand_basis(y.row_basis, s)
             ref = q.T @ dx[t_rows.index_range(t), t_mid.index_range(s)] @ vy
+            assert np.allclose(a, ref, atol=1e-9 * (1 + np.abs(ref).max()))
+        # the leaf products: X|ts V_{Y,s} at every block of a leaf row
+        # that is not an admissible leaf
+        leaf_rows = t_rows.leaf_flags[bx.row]
+        assert set(res.leaf_products) == \
+            set(np.flatnonzero(leaf_rows & ~bx.admissible_leaf_flags).tolist())
+        for b, a in res.leaf_products.items():
+            t, s = bx.row[b], bx.col[b]
+            ref = dx[t_rows.index_range(t), t_mid.index_range(s)] \
+                @ expand_basis(y.row_basis, s)
             assert np.allclose(a, ref, atol=1e-9 * (1 + np.abs(ref).max()))
 
     def test_block_error_control(self):
@@ -298,6 +309,34 @@ class TestAssembleProduct:
         got = to_dense(assemble_product(x, y, qrow, qcol, pxy))
         ref = per_term_product(x, y, qrow, qcol, pxy)
         assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    def test_each_subdivided_block_summed_once(self, monkeypatch):
+        # deep middle tree: blocks of X at leaf rows are subdivided; the
+        # compress steps form each (matrix, block) from its children at
+        # most once, and the assembly reads their tables
+        rng = np.random.default_rng(0)
+        t_i, t_j, t_k = (random_cluster_tree(rng, 64, s) for s in (8, 2, 8))
+        x, y = random_h2(rng, t_i, t_j), random_h2(rng, t_j, t_k)
+        calls = []
+        summed = induced._from_children
+
+        def counted(x_, y_, b, value):
+            calls.append((id(x_), b))
+            return summed(x_, y_, b, value)
+
+        monkeypatch.setattr(induced, "_from_children", counted)
+        pxy, zy, zxt = phase1_inputs(x, y)
+        qrow = compress_induced_row_basis(x, y, zy, pxy, 1e-4)
+        qcol = compress_induced_col_basis(x, y, zxt, pxy, 1e-4)
+        leaf_row = x.block_tree.rows.leaf_flags[x.block_tree.row]
+        assert any(m == id(x) and not x.block_tree.leaf_flags[b]
+                   and leaf_row[b] for m, b in calls)
+        assert len(calls) == len(set(calls))
+        del calls[:]
+        assemble_product(x, y, qrow, qcol, pxy)
+        assert not calls
+        multiply(x, y, 1e-4)
+        assert len(calls) == len(set(calls))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_exact_product_at_zero_tolerance(self, seed):
