@@ -16,7 +16,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .dense import spectral_norm, truncated_svd
+from .dense import spectral_norm, truncated_svds
 from .errors import InvalidInputError
 from .h2 import (ClusterBasis, H2Matrix, PackedBlocks, nested_basis,
                  orthogonalize_basis)
@@ -133,7 +133,8 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
 
     The weights Z_t come from one top-down condensation of g
     (``total_weights`` with g's isometric column basis); the basis is cut
-    bottom-up from the condensed matrices [V_t Z_t^T | ...], whose other
+    bottom-up, one tree level and one ``truncated_svds`` call at a time,
+    from the condensed matrices [V_t Z_t^T | ...], whose other
     columns are the nearfield and subdivided blocks inside admissible
     coarse blocks.  A subdivided block's representation is merged from
     its children's by ``match_column``, one walk per shared column
@@ -150,7 +151,9 @@ def _coarse_row_basis(g: H2Matrix, cov: np.ndarray, tol: float,
                       max_rank: int | None) -> CoarsenState:
     """``build_coarse_row_basis`` for a coarse tree given as the coverage
     of g's blocks.  Block ids and admissibility are kept under
-    transposition, so the column side passes G^T the same list."""
+    transposition, so the column side passes G^T the same list.  The
+    condensed matrix of each cluster is formed as before; the clusters of
+    one tree level are cut by one ``truncated_svds`` call."""
     if max_rank is not None and max_rank < 0:
         raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
     pt = g.block_tree
@@ -177,31 +180,40 @@ def _coarse_row_basis(g: H2Matrix, cov: np.ndarray, tol: float,
             return merged[0]
         return ColumnTree(pt.col[b], merged, True)
 
-    def cut(t, v_t):
-        leaf = tree.is_leaf(t)
-        if leaf:
+    def condensed(t, v_t):
+        # [V_t Z_t^T | the blocks inside admissible coarse blocks]
+        if tree.is_leaf(t):
             blocks = [(g.nearfield[b], nearfield_norms[b])
                       for b in near_cov[t]]
+            merged = None
         else:
             merged = [merged_rep(b, rmap) for b in sub_cov[t]]
             flat = [np.hstack([node.matrix for node in rep.leaves()])
                     for rep in merged]
             blocks = [(m, spectral_norm(m)) for m in flat]
         extra = [m / nrm if nrm > 0.0 else m for m, nrm in blocks]
-        svd = truncated_svd(np.hstack([v_t @ zmap[t].T] + extra), tol,
-                            max_rank=max_rank)
-        q_t = svd.u
-        r_t = q_t.T @ v_t
-        if leaf:
-            for b in near_cov[t]:
-                reps[b] = ColumnTree(pt.col[b], (), False, q_t.T @ g.nearfield[b])
-            # sub-blocks at a leaf row keep t: build them children first
-            for b in reversed(sub_cov[t]):
-                reps[b] = merged_rep(b, {t: r_t})
-        else:
-            for b, rep in zip(sub_cov[t], merged):
-                reps[b] = _project(rep, q_t.T)
-        return q_t, r_t
+        return np.hstack([v_t @ zmap[t].T] + extra), merged
+
+    def cut(ts, v_ts):
+        mats, merged = zip(*map(condensed, ts, v_ts))
+        svds = truncated_svds(mats, tol, [max_rank] * len(ts))
+        q_ts, r_ts = [], []
+        for t, v_t, svd, reps_t in zip(ts, v_ts, svds, merged):
+            q_t = svd.u
+            r_t = q_t.T @ v_t
+            if reps_t is None:  # a leaf
+                for b in near_cov[t]:
+                    reps[b] = ColumnTree(pt.col[b], (), False,
+                                         q_t.T @ g.nearfield[b])
+                # sub-blocks at a leaf row keep t: build them children first
+                for b in reversed(sub_cov[t]):
+                    reps[b] = merged_rep(b, {t: r_t})
+            else:
+                for b, rep in zip(sub_cov[t], reps_t):
+                    reps[b] = _project(rep, q_t.T)
+            q_ts.append(q_t)
+            r_ts.append(r_t)
+        return q_ts, r_ts
 
     q, _ = nested_basis(g.row_basis, cut, rmap)
     return CoarsenState(q, rmap, reps)

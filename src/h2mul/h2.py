@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dense import spectral_norms, truncated_svd
+from .dense import spectral_norms, truncated_svds
 from .errors import InvalidInputError
 from .trees import BlockTree, ClusterTree, same_cluster_tree
 
@@ -189,42 +189,43 @@ def expand_basis(basis: ClusterBasis, t: int) -> np.ndarray:
 
 
 def nested_basis(v: ClusterBasis, cut, r: dict | None = None):
-    """New nested basis cut from ``v`` cluster by cluster, bottom-up.
+    """New nested basis cut from ``v`` one tree level at a time, bottom-up.
 
-    Children are cut before their parent (ids are preorder, so the loop
-    runs them in reverse).  ``cut(t, v_t)`` gets the leaf matrix at a
-    leaf and, above, the old basis in the coordinates of the children's
-    new bases, the stack of r[c] @ E_c over the children c.  It returns
-    ``(q_t, r_t)``: the new basis at t in the same coordinates (it
-    becomes t's transfer stack, its rows the children's transfer
-    matrices) and the change r_t from the old one.  ``r`` is filled in
-    place, so a cut can read the children's changes through it.
+    The levels run deepest first, so every child is cut before its
+    parent.  ``cut(ts, v_ts)`` gets the clusters ts of one level, in
+    ascending id order, and per cluster t its old basis v_t: the leaf
+    matrix at a leaf and, above, the old basis in the coordinates of the
+    children's new bases, the stack of r[c] @ E_c over the children c.
+    It returns the lists ``(q_ts, r_ts)``: per cluster t the new basis in
+    the same coordinates (it becomes t's transfer stack, its rows the
+    children's transfer matrices) and the change r_t from the old one,
+    so a cut can batch its dense work over the level.  ``r`` is filled
+    in place, so a cut can read the children's changes through it.
     Returns ``(basis, r)``.
     """
     tree = v.tree
-    rank = [0] * tree.nnodes
-    leaf_matrix: dict[int, np.ndarray] = {}
-    stacks: dict[int, np.ndarray] = {}
+    children = tree.children
     if r is None:
         r = {}
-    for t in reversed(range(tree.nnodes)):
-        children = tree.children[t]
-        if children:
-            v_t = np.vstack([r[c] @ v.transfer[c] for c in children])
-        else:
-            v_t = v.leaf_matrix[t]
-        q_t, r[t] = cut(t, v_t)
-        rank[t] = q_t.shape[1]
-        if children:
-            stacks[t] = q_t
-        else:
-            leaf_matrix[t] = q_t
-    return ClusterBasis.from_stacks(tree, rank, leaf_matrix, stacks), r
+    q: dict[int, np.ndarray] = {}
+    for ts in reversed(tree.by_level):
+        q_ts, r_ts = cut(ts, [
+            np.vstack([r[c] @ v.transfer[c] for c in children[t]])
+            if children[t] else v.leaf_matrix[t] for t in ts])
+        q.update(zip(ts, q_ts))
+        r.update(zip(ts, r_ts))
+    # in reversed preorder: the order of the shape groups, and with it
+    # the summation order of the matvec
+    order = range(tree.nnodes - 1, -1, -1)
+    return ClusterBasis.from_stacks(
+        tree, [q[t].shape[1] for t in range(tree.nnodes)],
+        {t: q[t] for t in order if not children[t]},
+        {t: q[t] for t in order if children[t]}), r
 
 
-def _exact_cut(t: int, v_t: np.ndarray):
-    svd = truncated_svd(v_t, 0.0)
-    return svd.u, svd.sigma[:, None] * svd.v.T
+def _exact_cut(ts: list[int], v_ts: list[np.ndarray]):
+    svds = truncated_svds(v_ts, 0.0)
+    return [s.u for s in svds], [s.sigma[:, None] * s.v.T for s in svds]
 
 
 def orthogonalize_basis(basis: ClusterBasis):
@@ -232,7 +233,8 @@ def orthogonalize_basis(basis: ClusterBasis):
 
     Returns ``(q, rmap)`` with expand(q, t) @ rmap[t] == expand(basis, t)
     and isometric per-cluster q.  Exact zero directions are dropped, so
-    rank-deficient inputs come back with reduced ranks.
+    rank-deficient inputs come back with reduced ranks.  Each tree level
+    is cut by one ``truncated_svds`` call.
     """
     return nested_basis(basis, _exact_cut)
 

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .dense import full_householder_qr, spectral_norms, truncated_svd
+from .dense import full_householder_qrs, spectral_norms, truncated_svds
 from .errors import InvalidInputError
 from .h2 import (BasisProduct, ClusterBasis, H2Matrix, PackedBlocks,
                  cluster_basis_product, nested_basis)
@@ -101,8 +101,13 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
     the children's bases, so the result is nested by construction.  Each
     block is divided by (a lower bound of) its column-factor norm before
     truncation, yielding block-relative error control; at leaves the
-    exact norm is used, above them the projected surrogate.  A negative
-    ``max_rank`` raises InvalidInputError.
+    exact norm is used, above them the projected surrogate.  The walk
+    (``nested_basis``) hands over one tree level at a time: each
+    cluster's blocks are formed as above, then the level takes the norms
+    of all its blocks in one ``spectral_norms`` call, its Householder
+    factorizations in one ``full_householder_qrs`` call and its
+    truncations in one ``truncated_svds`` call.  A negative ``max_rank``
+    raises InvalidInputError.
     """
     if max_rank is not None and max_rank < 0:
         raise InvalidInputError(f"max_rank must be >= 0, got {max_rank}")
@@ -117,34 +122,46 @@ def compress_induced_row_basis(x: H2Matrix, y: H2Matrix, zy: TotalWeights,
     projected = partial(_block_value, x, pxy, basis_change, projections)
     product = partial(_block_value, x, pxy, x.row_basis.leaf_matrix, products)
 
-    def cut(t, vx_t):
-        # vx_t: the (projected) V_{X,t}; blocks[i]: (projected) X|ts_i V_{Y,s_i}
+    def blocks_at(t):
+        # (projected) X|ts V_{Y,s} of t's blocks (t, s)
         ids = blocks_of[t]
-        middles = [bx.col[b] for b in ids]
-        if t_rows.is_leaf(t):
-            # blocks at a leaf row keep t: fill the table children first
-            for b in reversed(ids):
-                products[b] = (
-                    x.nearfield[b] @ y.row_basis.leaf_matrix[bx.col[b]]
-                    if bx.is_leaf(b) else _from_children(x, y, b, product))
-            blocks = [products[b] for b in ids]
-        else:
-            blocks = [_from_children(x, y, b, projected) for b in ids]
-        weighted = [blk @ zy.z[s].T / nrm for s, blk, nrm
-                    in zip(middles, blocks, spectral_norms(blocks))
-                    if nrm > 0.0]
-        stacked = np.hstack(weighted) if weighted \
-            else np.zeros((vx_t.shape[0], 0))
-        q_full, r_fac = full_householder_qr(vx_t)
-        k1 = min(vx_t.shape)
-        remainder = q_full[:, k1:].T @ stacked
-        cap = None if max_rank is None else max(0, max_rank - k1)
-        svd = truncated_svd(remainder, tol, max_rank=cap)
-        q_t = np.hstack([q_full[:, :k1], q_full[:, k1:] @ svd.u])
-        for b, blk in zip(ids, blocks):
-            projections[b] = q_t.T @ blk
-        return q_t, np.vstack([r_fac[:k1],
-                               np.zeros((svd.retained_rank, vx_t.shape[1]))])
+        if not t_rows.is_leaf(t):
+            return [_from_children(x, y, b, projected) for b in ids]
+        # blocks at a leaf row keep t: fill the table children first
+        for b in reversed(ids):
+            products[b] = (
+                x.nearfield[b] @ y.row_basis.leaf_matrix[bx.col[b]]
+                if bx.is_leaf(b) else _from_children(x, y, b, product))
+        return [products[b] for b in ids]
+
+    def cut(ts, vx_ts):
+        # vx_ts[i]: the (projected) V_{X,t} of t = ts[i]
+        blocks = [blocks_at(t) for t in ts]
+        norms = spectral_norms([blk for blks in blocks for blk in blks])
+        qrs = full_householder_qrs(vx_ts)
+        k1s = [min(vx_t.shape) for vx_t in vx_ts]
+        remainders, at = [], 0
+        for t, blks, (q_full, _), k1 in zip(ts, blocks, qrs, k1s):
+            weighted = [blk @ zy.z[bx.col[b]].T / nrm for b, blk, nrm
+                        in zip(blocks_of[t], blks, norms[at:at + len(blks)])
+                        if nrm > 0.0]
+            at += len(blks)
+            stacked = np.hstack(weighted) if weighted \
+                else np.zeros((q_full.shape[0], 0))
+            remainders.append(q_full[:, k1:].T @ stacked)
+        svds = truncated_svds(remainders, tol, [
+            None if max_rank is None else max(0, max_rank - k1)
+            for k1 in k1s])
+        q_ts, r_ts = [], []
+        for t, vx_t, blks, (q_full, r_fac), k1, svd in zip(
+                ts, vx_ts, blocks, qrs, k1s, svds):
+            q_t = np.hstack([q_full[:, :k1], q_full[:, k1:] @ svd.u])
+            for b, blk in zip(blocks_of[t], blks):
+                projections[b] = q_t.T @ blk
+            q_ts.append(q_t)
+            r_ts.append(np.vstack([r_fac[:k1], np.zeros((svd.retained_rank,
+                                                         vx_t.shape[1]))]))
+        return q_ts, r_ts
 
     q, _ = nested_basis(x.row_basis, cut, basis_change)
     return InducedBasisResult(q, basis_change, projections, products)
@@ -337,7 +354,7 @@ def _term_sums(pt: BlockTree, blocks: np.ndarray, left_ids: np.ndarray,
             part = right_t[k][np.where(real, term_pair[at], -1)] \
                 .reshape(g.size, most * pad, k) @ lt
             acc[np.where(real, term_slot[at], b - a).ravel()] += \
-                part.reshape(-1, pad, h)
+                part.reshape(g.size * most, pad, h)
         for c0, c1 in zip(shape_at[shape_cut[i]:shape_cut[i + 1]],
                           shape_at[shape_cut[i] + 1:shape_cut[i + 1] + 1]):
             run = shapes[c0:c1]

@@ -84,6 +84,14 @@ class _Tree:
         return _walk_up(self.parent)[0]
 
     @cached_property
+    def by_level(self) -> list[list[int]]:
+        """Per depth, root first: the ids of the nodes at that depth,
+        ascending."""
+        order = np.argsort(self.levels, kind="stable")
+        cuts = np.flatnonzero(np.diff(self.levels[order])) + 1
+        return [ids.tolist() for ids in np.split(order, cuts)]
+
+    @cached_property
     def end(self) -> np.ndarray:
         """Per node b: its descendants are the ids b + 1 ... end[b] - 1."""
         return np.arange(self.parent.size) + _walk_up(self.parent)[1]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dense import qr_r, spectral_norms
+from .dense import qr_rs, spectral_norms
 from .h2 import ClusterBasis, H2Matrix
 
 __all__ = ["BasisWeights", "TotalWeights", "basis_weights", "total_weights"]
@@ -38,16 +38,16 @@ def basis_weights(w: ClusterBasis) -> BasisWeights:
 
     Leaves factor the leaf matrix directly; above, the R factors of the
     children are pushed through the transfer matrices and re-factored,
-    so R_r^T R_r equals the Gram matrix of the expanded basis.
+    so R_r^T R_r equals the Gram matrix of the expanded basis.  One
+    ``qr_rs`` call per tree level, deepest first.
     """
     tree = w.tree
+    children = tree.children
     r: dict[int, np.ndarray] = {}
-    for c in reversed(range(tree.nnodes)):
-        if tree.is_leaf(c):
-            r[c] = qr_r(w.leaf_matrix[c])
-        else:
-            r[c] = qr_r(np.vstack([r[c2] @ w.transfer[c2]
-                                   for c2 in tree.children[c]]))
+    for cs in reversed(tree.by_level):
+        r.update(zip(cs, qr_rs([
+            np.vstack([r[c2] @ w.transfer[c2] for c2 in children[c]])
+            if children[c] else w.leaf_matrix[c] for c in cs])))
     return BasisWeights(tree, r)
 
 
@@ -66,7 +66,7 @@ def total_weights(y: H2Matrix, rw: BasisWeights | None,
     they are the norms of y's couplings, read from the matrix's norm
     cache (``PackedBlocks.norms``), else one ``spectral_norms`` call over
     every row block.  Zero-norm blocks are skipped: they impose no
-    constraint.
+    constraint.  One ``qr_rs`` call per tree level, root first.
     """
     bt = y.block_tree
     tree = bt.rows
@@ -84,15 +84,21 @@ def total_weights(y: H2Matrix, rw: BasisWeights | None,
         norms = y.packed_coupling.norms()
     else:
         norms = dict(zip(blocks, spectral_norms(blocks.values())))
+    parent = tree.parent.tolist()
     z: dict[int, np.ndarray] = {}
-    for s, up in enumerate(tree.parent.tolist()):  # parents first
-        parts = [z[up] @ vy.transfer[s].T] if up >= 0 else []
-        for b in row_map[s]:
-            block = blocks[b]
-            if norms is not None:
-                if norms[b] == 0.0:
-                    continue
-                block = block / norms[b]
-            parts.append(block)
-        z[s] = qr_r(np.vstack(parts) if parts else np.zeros((0, vy.rank[s])))
+    for level in tree.by_level:  # parents first
+        stacked = []
+        for s in level:
+            up = parent[s]
+            parts = [z[up] @ vy.transfer[s].T] if up >= 0 else []
+            for b in row_map[s]:
+                block = blocks[b]
+                if norms is not None:
+                    if norms[b] == 0.0:
+                        continue
+                    block = block / norms[b]
+                parts.append(block)
+            stacked.append(np.vstack(parts) if parts
+                           else np.zeros((0, vy.rank[s])))
+        z.update(zip(level, qr_rs(stacked)))
     return TotalWeights(tree, z)

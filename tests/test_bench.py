@@ -286,6 +286,13 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "dense check" in out
 
+    def test_rank_zero_input(self, capsys):
+        # at eps = 1e3 the recompressed input keeps no admissible rank
+        rc = main(["--problem", "log-1d", "--n", "64", "--eps", "1e3",
+                   "--steps", "0"])
+        assert rc == 0
+        assert "n=      64" in capsys.readouterr().out
+
     def test_bad_flag_diagnostics(self, capsys):
         with pytest.raises(SystemExit):
             main(["--problem", "bogus"])

@@ -3,7 +3,8 @@ import pytest
 
 from h2mul import (InvalidInputError, full_householder_qr, spectral_norm,
                    truncated_svd)
-from h2mul.dense import qr_r, spectral_norms
+from h2mul.dense import (full_householder_qrs, qr_r, qr_rs, spectral_norms,
+                         truncated_svds)
 
 
 def gram_schmidt(a):
@@ -211,3 +212,88 @@ class TestSpectralNorm:
         batched = spectral_norms(mats)
         singles = [spectral_norm(m) for m in mats]
         assert np.allclose(batched, singles, rtol=1e-12, atol=1e-300)
+
+
+def mixed_matrices(seed=11):
+    """Matrices of repeated and single shapes, empty ones, rank-deficient
+    ones and Fortran-ordered transposes, in no order of shape."""
+    rng = np.random.default_rng(seed)
+    shapes = [(4, 3), (3, 5), (4, 3), (0, 3), (4, 0), (2, 2), (3, 5),
+              (0, 0), (4, 3), (70, 66), (1, 6), (70, 66)]
+    mats = [rng.standard_normal(shape) for shape in shapes]
+    mats[2] = np.outer(rng.standard_normal(4), rng.standard_normal(3))
+    mats.append(rng.standard_normal((5, 3)).T)  # (3, 5), Fortran order
+    mats.append(np.zeros((4, 3)))
+    return mats
+
+
+class TestListForms:
+    """Each list kernel gives every matrix the bits of its single form."""
+
+    @pytest.mark.parametrize("tol", [0.0, 0.5])
+    def test_truncated_svds_match_single(self, tol):
+        mats = mixed_matrices()
+        caps = [None, 1, 2, None, 0, None, 9, None, 0, 30, None, None, 1,
+                None]
+        for caps_or_none in (caps, None):
+            got = truncated_svds(mats, tol, caps_or_none)
+            assert len(got) == len(mats)
+            for i, (m, s) in enumerate(zip(mats, got)):
+                cap = None if caps_or_none is None else caps[i]
+                ref = truncated_svd(m, tol, max_rank=cap)
+                assert s.retained_rank == ref.retained_rank
+                for a, b in ((s.u, ref.u), (s.sigma, ref.sigma),
+                             (s.v, ref.v)):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+
+    def test_caps_honoured(self):
+        rng = np.random.default_rng(12)
+        mats = [rng.standard_normal((6, 5)) for _ in range(4)]
+        caps = [0, 2, None, 7]
+        got = truncated_svds(mats, 0.0, caps)
+        assert [s.retained_rank for s in got] == [0, 2, 5, 5]
+        for s in got:
+            assert s.u.shape == (6, s.retained_rank)
+            assert s.v.shape == (5, s.retained_rank)
+
+    def test_qr_rs_match_single(self):
+        mats = mixed_matrices()
+        for m, r in zip(mats, qr_rs(mats), strict=True):
+            ref = qr_r(m)
+            assert r.shape == ref.shape and np.array_equal(r, ref)
+
+    def test_full_householder_qrs_match_single(self):
+        mats = mixed_matrices()
+        for m, (q, r) in zip(mats, full_householder_qrs(mats), strict=True):
+            ref_q, ref_r = full_householder_qr(m)
+            assert q.shape == ref_q.shape and np.array_equal(q, ref_q)
+            assert r.shape == ref_r.shape and np.array_equal(r, ref_r)
+
+    def test_spectral_norms_match_single(self):
+        mats = mixed_matrices()
+        assert spectral_norms(mats) == [spectral_norm(m) for m in mats]
+
+    def test_empty_list(self):
+        assert truncated_svds([], 0.0) == []
+        assert qr_rs([]) == full_householder_qrs([]) == spectral_norms([]) \
+            == []
+
+    @pytest.mark.parametrize("kernel", [
+        lambda mats: truncated_svds(mats, 0.0), qr_rs, full_householder_qrs,
+        spectral_norms])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, kernel, bad):
+        mats = mixed_matrices()
+        mats[6] = mats[6].copy()  # one of two (3, 5) matrices
+        mats[6][1, 2] = bad
+        with pytest.raises(InvalidInputError):
+            kernel(mats)
+
+    @pytest.mark.parametrize("tol", [-1e-3, np.nan])
+    def test_bad_tolerance_rejected(self, tol):
+        with pytest.raises(InvalidInputError):
+            truncated_svds(mixed_matrices(), tol)
+
+    def test_negative_cap_rejected(self):
+        with pytest.raises(InvalidInputError):
+            truncated_svds([np.eye(2), np.eye(2)], 0.0, [1, -1])

@@ -482,7 +482,9 @@ class TestOrthogonalize:
           for seed in range(5)),
         # any lossless cut through nested_basis: a thin QR, not the SVD
         *(pytest.param(seed, lambda v: nested_basis(
-            v, lambda t, v_t: np.linalg.qr(v_t)), id=f"qr-{seed}")
+            v, lambda ts, v_ts: tuple(zip(*(np.linalg.qr(v_t)
+                                            for v_t in v_ts)))),
+            id=f"qr-{seed}")
           for seed in range(5)),
     ])
     def test_reconstruction(self, seed, build):
@@ -505,9 +507,14 @@ class TestNestedBasis:
         tree = random_cluster_tree(rng, 40, 4)
         order = []
 
-        def cut(t, v_t):
-            order.append(t)
-            return np.linalg.qr(v_t)
+        def cut(ts, v_ts):
+            q_ts, r_ts = [], []
+            for t, v_t in zip(ts, v_ts):
+                order.append(t)
+                q_t, r_t = np.linalg.qr(v_t)
+                q_ts.append(q_t)
+                r_ts.append(r_t)
+            return q_ts, r_ts
 
         r = {}
         _, out = nested_basis(random_basis(rng, tree, 3), cut, r)
@@ -518,15 +525,40 @@ class TestNestedBasis:
             for c in tree.children[t]:
                 assert pos[c] < pos[t]
 
+    def test_one_cut_per_level_deepest_first(self):
+        rng = np.random.default_rng(23)
+        tree = random_cluster_tree(rng, 200, 4)
+        basis = random_basis(rng, tree, 3)
+        calls = []
+
+        def cut(ts, v_ts):
+            calls.append(list(ts))
+            assert len(v_ts) == len(ts)
+            return ([np.eye(v_t.shape[0], v_t.shape[1]) for v_t in v_ts],
+                    [np.eye(v_t.shape[1]) for v_t in v_ts])
+
+        nested_basis(basis, cut)
+        depth = tree.levels.tolist()
+        # one call per level, deepest first, its clusters once, ascending
+        assert calls == [[t for t in range(tree.nnodes) if depth[t] == level]
+                         for level in range(max(depth), -1, -1)]
+
     def test_rank_zero_clusters(self):
         rng = np.random.default_rng(22)
         tree = random_cluster_tree(rng, 40, 4)
         empty = {t for t in range(tree.nnodes) if t % 3 == 1}
 
-        def cut(t, v_t):
-            if t in empty:
-                return np.zeros((v_t.shape[0], 0)), np.zeros((0, v_t.shape[1]))
-            return np.linalg.qr(v_t)
+        def cut(ts, v_ts):
+            q_ts, r_ts = [], []
+            for t, v_t in zip(ts, v_ts):
+                if t in empty:
+                    q_t, r_t = (np.zeros((v_t.shape[0], 0)),
+                                np.zeros((0, v_t.shape[1])))
+                else:
+                    q_t, r_t = np.linalg.qr(v_t)
+                q_ts.append(q_t)
+                r_ts.append(r_t)
+            return q_ts, r_ts
 
         q, r = nested_basis(random_basis(rng, tree, 3), cut)
         assert {t for t in range(tree.nnodes) if q.rank[t] == 0} >= empty

@@ -5,7 +5,8 @@ from h2mul import (InvalidInputError, KernelProblem, assemble_product,
                    basis_weights, build_cluster_tree, build_problem,
                    build_product_block_tree, cluster_basis_product, coarsen,
                    compress_induced_col_basis, compress_induced_row_basis,
-                   expand_basis, multiply, to_dense, total_weights)
+                   expand_basis, multiply, recompress, to_dense,
+                   total_weights)
 from h2mul import induced
 from h2mul.trees import KIND_A, KIND_B, KIND_C
 from util import (random_cluster_tree, random_h2, random_h2_pair,
@@ -469,3 +470,28 @@ class TestMixedKernelProduct:
         final = coarsen(induced, a.block_tree, eps)
         assert rel_spectral(to_dense(induced), ref) <= bound
         assert rel_spectral(to_dense(final), ref) <= bound
+
+
+class TestRankZeroFactors:
+    """Inputs recompressed so coarsely that every cluster keeps rank 0:
+    every coupling has zero width, and the product is the nearfield's."""
+
+    @pytest.mark.parametrize("problem, eps", [
+        pytest.param(KernelProblem.log_1d(64, order=4), 1e3, id="log-1d"),
+        pytest.param(KernelProblem.dlp_cube(48, order=2), 1e6, id="dlp-cube"),
+    ])
+    @pytest.mark.parametrize("max_rank", [None, 0])
+    def test_product_matches_dense(self, problem, eps, max_rank):
+        x = recompress(build_problem(problem, eta=2.0).h2, eps)
+        assert not any(x.row_basis.rank) and not any(x.col_basis.rank)
+        ref = to_dense(x) @ to_dense(x)
+        induced = multiply(x, x, 1e-4, max_rank=max_rank)
+        final = coarsen(induced, x.block_tree, 1e-4, max_rank=max_rank)
+        for g in (induced, final):
+            g.validate()
+        assert rel_spectral(to_dense(induced), ref) <= 1e-12
+        if max_rank is None:
+            assert rel_spectral(to_dense(final), ref) <= 1e-4
+        else:
+            assert not any(final.row_basis.rank)
+            assert not any(final.col_basis.rank)
