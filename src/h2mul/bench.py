@@ -61,8 +61,9 @@ class RunConfig:
     def validate(self):
         if self.problem not in PROBLEMS:
             raise InvalidInputError(f"unknown problem {self.problem!r}")
-        if not self.eps >= 0:
-            raise InvalidInputError(f"eps must be >= 0, got {self.eps}")
+        if not 0 <= self.eps < math.inf:
+            raise InvalidInputError(
+                f"eps must be finite and >= 0, got {self.eps}")
         if self.coarsen not in ("input-tree", "product-tree"):
             raise InvalidInputError(f"unknown coarsen mode {self.coarsen!r}")
         if self.steps < 0:

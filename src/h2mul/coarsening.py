@@ -16,7 +16,7 @@ from functools import partial, reduce
 
 import numpy as np
 
-from .dense import spectral_norm, truncated_svds
+from .dense import spectral_norms, truncated_svds
 from .errors import InvalidInputError
 from .h2 import (ClusterBasis, H2Matrix, PackedBlocks, nested_basis,
                  orthogonalize_basis)
@@ -141,7 +141,9 @@ def build_coarse_row_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
     cluster.  Every block is divided by its spectral norm before
     truncation (block-relative error control; stored blocks use g's
     cached ``PackedBlocks.norms``); a negative ``max_rank`` raises
-    InvalidInputError.
+    InvalidInputError.  Precondition: g's bases are isometric, as
+    ``multiply``, ``recompress`` and ``orthogonalized`` return them; on
+    other bases the tolerance does not hold.
     """
     return _coarse_row_basis(g, _coverage(g.block_tree, coarse), tol,
                              max_rank)
@@ -180,22 +182,27 @@ def _coarse_row_basis(g: H2Matrix, cov: np.ndarray, tol: float,
             return merged[0]
         return ColumnTree(pt.col[b], merged, True)
 
-    def condensed(t, v_t):
-        # [V_t Z_t^T | the blocks inside admissible coarse blocks]
-        if tree.is_leaf(t):
-            blocks = [(g.nearfield[b], nearfield_norms[b])
-                      for b in near_cov[t]]
-            merged = None
-        else:
-            merged = [merged_rep(b, rmap) for b in sub_cov[t]]
-            flat = [np.hstack([node.matrix for node in rep.leaves()])
-                    for rep in merged]
-            blocks = [(m, spectral_norm(m)) for m in flat]
-        extra = [m / nrm if nrm > 0.0 else m for m, nrm in blocks]
-        return np.hstack([v_t @ zmap[t].T] + extra), merged
+    def condensed(ts, v_ts):
+        # per cluster t of one level: [V_t Z_t^T | the blocks inside
+        # admissible coarse blocks], each block divided by its norm (the
+        # nearfield's cached, the merged representations' taken in one
+        # pass per level), and the merged representations of the
+        # subdivided blocks (None at a leaf)
+        merged = [None if tree.is_leaf(t) else
+                  [merged_rep(b, rmap) for b in sub_cov[t]] for t in ts]
+        flat = [[np.hstack([node.matrix for node in rep.leaves()])
+                 for rep in reps_t] for reps_t in merged if reps_t is not None]
+        fresh = iter(spectral_norms([m for ms in flat for m in ms]))
+        flat, mats = iter(flat), []
+        for t, v_t, reps_t in zip(ts, v_ts, merged):
+            blocks = zip(next(flat), fresh) if reps_t is not None else [
+                (g.nearfield[b], nearfield_norms[b]) for b in near_cov[t]]
+            mats.append(np.hstack([v_t @ zmap[t].T] + [
+                m / nrm if nrm > 0.0 else m for m, nrm in blocks]))
+        return mats, merged
 
     def cut(ts, v_ts):
-        mats, merged = zip(*map(condensed, ts, v_ts))
+        mats, merged = condensed(ts, v_ts)
         svds = truncated_svds(mats, tol, [max_rank] * len(ts))
         q_ts, r_ts = [], []
         for t, v_t, svd, reps_t in zip(ts, v_ts, svds, merged):
@@ -221,7 +228,8 @@ def _coarse_row_basis(g: H2Matrix, cov: np.ndarray, tol: float,
 
 def build_coarse_col_basis(g: H2Matrix, coarse: BlockTree, tol: float, *,
                            max_rank: int | None = None) -> CoarsenState:
-    """Adaptive column basis: the row construction applied to G^T."""
+    """Adaptive column basis: the row construction applied to G^T (g's
+    bases must be isometric, as for ``build_coarse_row_basis``)."""
     return _coarse_row_basis(g.transposed(), _coverage(g.block_tree, coarse),
                              tol, max_rank)
 
@@ -249,7 +257,8 @@ def project_final(g: H2Matrix, rowstate: CoarsenState,
     chains, never touching O(n)-sized data per block; inadmissible
     coarse leaves are copied (or materialized) densely from the refined
     matrix.  On the refined tree itself (recompression) the result
-    shares the refined matrix's nearfield storage.
+    shares the refined matrix's nearfield storage.  Precondition: g's
+    bases are isometric, as for the coarse bases the states come from.
     """
     pt = g.block_tree
     at = _coarse_blocks(pt, coarse).tolist()
@@ -277,7 +286,13 @@ def coarsen(g: H2Matrix, coarse: BlockTree, tol: float, *,
             max_rank: int | None = None) -> H2Matrix:
     """Phase 2: coarse row basis, column basis, projection (stages ``t2_row``,
     ``t2_col``, ``t2_mat``), with one norm pass per block kind of g; each
-    of the three maps the coarse tree onto g's blocks itself."""
+    of the three maps the coarse tree onto g's blocks itself.
+
+    Precondition: g's bases are isometric, as ``multiply``,
+    ``recompress`` and ``orthogonalized`` return them.  Phase 2 takes
+    them as isometric when it condenses g (no basis weights); on raw
+    interpolation bases the result misses the tolerance.
+    """
     with stage("t2_row"):
         rowstate = build_coarse_row_basis(g, coarse, tol, max_rank=max_rank)
     with stage("t2_col"):

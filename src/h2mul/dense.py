@@ -83,8 +83,9 @@ def _full_householder_qrs(mats) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _truncated_svds(mats, tol: float, caps) -> list[TruncatedSVD]:
-    if not tol >= 0:
-        raise InvalidInputError(f"tolerance must be >= 0, got {tol}")
+    if not 0 <= tol < np.inf:
+        raise InvalidInputError(
+            f"tolerance must be finite and >= 0, got {tol}")
     for cap in caps:
         if cap is not None and cap < 0:
             raise InvalidInputError(f"max_rank must be >= 0, got {cap}")
@@ -158,8 +159,8 @@ def truncated_svd(a, tol: float, max_rank: int | None = None) -> TruncatedSVD:
     their inputs block-relatively).  Singular values below
     max(rows, cols) * eps * sigma_1 are treated as numerically zero, so
     exact low-rank inputs are truncated to their true rank even at
-    tol = 0.  A negative or NaN ``tol`` or a negative ``max_rank``
-    raises InvalidInputError.
+    tol = 0.  A negative, infinite or NaN ``tol`` or a negative
+    ``max_rank`` raises InvalidInputError.
     """
     return _truncated_svds([a], tol, [max_rank])[0]
 

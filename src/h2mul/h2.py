@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -33,72 +34,63 @@ DENSE_GUARD = 16384
 class ShapeGroup(NamedTuple):
     """Matrices of one shape, stacked in one C-ordered float64 array of
     shape (count, rows, columns); ``ids`` names them (cluster or block
-    ids).  ``row_at`` (count, rows) and ``col_at`` (count, columns) hold
-    the position of every row and column of every matrix in the flat
-    vectors the matvec maps between: points or basis coefficients (for
-    blocks, None until the first matvec)."""
+    ids)."""
 
     stack: np.ndarray
     ids: np.ndarray
-    row_at: np.ndarray
-    col_at: np.ndarray
 
 
-def _zero_groups(ids: np.ndarray, rows: np.ndarray, cols: np.ndarray):
-    """Zero matrices of the shapes (rows[i], cols[i]) for the ascending
-    ids, one C-ordered float64 array per shape, in the order of the
-    shapes' first ids.  Returns the ShapeGroups, without indices, and the
-    views by id, in the order of ``ids``."""
-    views = dict.fromkeys(ids.tolist())
-    if not ids.size:
-        return [], views
-    shape = rows * (cols.max() + 1) + cols
-    order = np.lexsort((ids, shape))
-    starts = np.flatnonzero(np.diff(shape[order], prepend=-1))
-    groups = []
-    for at in sorted(np.split(order, starts[1:]), key=lambda at: at[0]):
-        stack = np.zeros((at.size, rows[at[0]], cols[at[0]]))
-        views.update(zip(ids[at].tolist(), stack))
-        groups.append(ShapeGroup(stack, ids[at], None, None))
-    return groups, views
+def _grouped(ids: np.ndarray, keys, mats=None):
+    """The matrices ``mats[i]`` of the ids (zeros if ``mats`` is None),
+    grouped by the integer key columns ``keys`` (one entry per id), the
+    last two of which are the matrices' rows and columns: one C-ordered
+    float64 array per group, made by one call, the groups in the order of
+    their first ids and each in the order of ``ids``.  Returns the
+    read-only views by id, in the order of ``ids``, and the ShapeGroups."""
+    views, groups = dict.fromkeys(ids.tolist()), []
+    if ids.size:
+        key = np.ravel_multi_index(keys, [k.max() + 1 for k in keys])
+        order = np.argsort(key, kind="stable")
+        starts = np.flatnonzero(np.diff(key[order], prepend=-1))
+        for at in sorted(np.split(order, starts[1:]), key=lambda at: at[0]):
+            i = ids[at]
+            stack = np.zeros((at.size, keys[-2][at[0]], keys[-1][at[0]])) \
+                if mats is None else np.array([mats[j] for j in i.tolist()],
+                                              np.float64)
+            views.update(zip(i.tolist(), stack))
+            groups.append(ShapeGroup(stack, i))
+    return MappingProxyType(views), groups
 
 
-def _copied_groups(mats, keys, row_start, col_start):
-    """``mats`` (id -> matrix) copied into shape groups, one per value of
-    ``keys`` (a key per matrix, in the order of ``mats``), with one
-    ``np.array`` call per group; matrix i's first row and column sit at
-    ``row_start[i]`` and ``col_start[i]``.  Returns the ShapeGroups and
-    the views by id."""
-    by_key: dict[tuple, list[int]] = {}
-    for i, key in zip(mats, keys):
-        by_key.setdefault(key, []).append(i)
-    groups, views = [], dict.fromkeys(mats)
-    for ids in by_key.values():
-        stack = np.array([mats[i] for i in ids], np.float64)
-        views.update(zip(ids, stack))
-        at = np.array(ids, np.intp)
-        groups.append(ShapeGroup(stack, at,
-                                 _span(row_start[at], stack.shape[1]),
-                                 _span(col_start[at], stack.shape[2])))
-    return groups, views
+def _copied(mats, depth=None):
+    """``_grouped`` copies of ``mats`` (id -> matrix) by shape, or by
+    depth[id] and shape if ``depth`` is given."""
+    n, values = len(mats), mats.values()
+    ids = np.fromiter(mats, np.intp, n)
+    dims = (np.fromiter(map(len, values), np.intp, n),
+            np.fromiter(map(itemgetter(1), map(attrgetter("shape"), values)),
+                        np.intp, n))
+    return _grouped(ids, dims if depth is None else (depth[ids], *dims), mats)
 
 
-def _span(at: np.ndarray, k: int) -> np.ndarray:
-    """Indices at[i] + j, j < k, as a (len(at), k) array."""
-    return at[:, None] + np.arange(k)
-
-
-def _flat_spans(ats, widths):
-    """``_span(at, k)`` for each pair, as views of one flat array, which
-    is returned first."""
-    spans = [_span(at, k) for at, k in zip(ats, widths)]
-    flat = np.concatenate([s.ravel() for s in spans]) if spans \
-        else np.zeros(0, np.intp)
-    views, pos = [], 0
-    for s in spans:
-        views.append(flat[pos:pos + s.size].reshape(s.shape))
-        pos += s.size
-    return flat, views
+def _placements(groups, first_row: np.ndarray, first_col: np.ndarray):
+    """Where the rows and columns of the groups' matrices sit in the flat
+    vectors a matvec maps between: matrix i of group g has its rows at
+    first_row[g.ids[i]] + 0, 1, ... and its columns likewise.  Returns
+    the flat row and column positions, group after group, and per group
+    ``(stack, rows, columns)``, whose index arrays (count, rows) and
+    (count, columns) are views of the flat ones."""
+    out = []
+    for first, axis in ((first_row, 1), (first_col, 2)):
+        spans = [first[g.ids][:, None] + np.arange(g.stack.shape[axis])
+                 for g in groups]
+        flat = np.concatenate([s.ravel() for s in spans]
+                              + [np.zeros(0, np.intp)])
+        ends = np.cumsum([s.size for s in spans], dtype=np.intp)
+        out += [flat, [f.reshape(s.shape)
+                       for f, s in zip(np.split(flat, ends), spans)]]
+    rows, row_at, cols, col_at = out
+    return rows, cols, list(zip([g.stack for g in groups], row_at, col_at))
 
 
 class ClusterBasis:
@@ -146,25 +138,31 @@ class ClusterBasis:
         off[order] = np.cumsum(ranks[order]) - ranks[order]
         self.offset = offset = off.tolist()
         self.ncoef = int(ranks.sum())
-        depth = tree.levels.tolist()
-        first = np.append(off[1:], 0)  # t's first child is t + 1 (preorder)
 
-        self.leaf_groups, views = _copied_groups(
-            leaf_matrix, [m.shape for m in leaf_matrix.values()],
-            np.asarray(tree.start, np.intp), off)
-        self.leaf_matrix = MappingProxyType(views)
-        groups, views = _copied_groups(
-            stacks, [(depth[t], *m.shape) for t, m in stacks.items()],
-            first, off)
+        self.leaf_matrix, self.leaf_groups = _copied(leaf_matrix)
+        self.transfer_stack, groups = _copied(stacks, tree.levels)
         # deepest parents first: the order of the forward transform
-        self.transfer_groups = sorted(groups, key=lambda g: -depth[g.ids[0]])
-        self.transfer_stack = MappingProxyType(views)
+        self.transfer_groups = sorted(
+            groups, key=lambda g: -tree.levels[g.ids[0]])
         transfer = {}
-        for t, stack in views.items():
+        for t, stack in self.transfer_stack.items():
             at = offset[t + 1]
             for c in children[t]:
                 transfer[c] = stack[offset[c] - at:offset[c] - at + rank[c]]
         self.transfer = MappingProxyType(transfer)
+        self._placed = None
+
+    def placements(self):
+        """``_placements`` of the leaf groups, then the transfer groups,
+        built on the first call (the first matvec): the rows of a leaf
+        are its points, those of a stack its children's coefficients."""
+        if self._placed is None:
+            tree, off = self.tree, np.asarray(self.offset, np.intp)
+            first = np.where(tree.leaf_flags, tree.start,
+                             np.append(off[1:], 0))
+            self._placed = _placements(
+                [*self.leaf_groups, *self.transfer_groups], first, off)
+        return self._placed
 
     def expand(self, t: int) -> np.ndarray:
         """Explicit size_t x k_t matrix obtained by stacking transfers."""
@@ -276,32 +274,45 @@ class PackedBlocks:
     C-contiguous view of it, as the dense kernels take them.  G^T shares
     the arrays, and each of its blocks is the transpose of a view,
     Fortran-contiguous.  ``blocks`` is the read-only mapping from block
-    id to view; ``groups`` lists the arrays as ShapeGroups, whose index
-    arrays, built on the first matvec, place the stored blocks' rows and
-    columns in G's flat vectors (basis coefficients for couplings,
-    points for the nearfield).  ``layout`` is the (block tree, row offsets, column
-    offsets) of the matrix the blocks belong to; ``flipped`` is true for
-    G^T, whose blocks are the transposes of the stored ones.
+    id to view; ``groups`` lists the arrays as ShapeGroups.  ``layout``
+    is the (block tree, row offsets, column offsets) of the matrix the
+    blocks belong to: basis coefficients for couplings, points for the
+    nearfield.  ``flipped`` is true for G^T, whose blocks are the
+    transposes of the stored ones; a transpose reads the norms and the
+    placements of the blocks as G stores them.
     """
 
-    def __init__(self, blocks, groups, layout, flipped, shared=None):
+    def __init__(self, blocks, groups, layout, flipped=False, stored=None):
         self.blocks = blocks
         self.groups = groups
         self.layout = layout
         self.flipped = flipped
-        # the norms, and the flat row and column indices of the matvec,
-        # built on first use and shared with the transpose
-        self._shared = {"norms": {}} if shared is None else shared
+        # None, or the PackedBlocks whose transpose this is (or was, twice)
+        self._stored = stored
+        self._norms = self._placed = None
 
     def norms(self) -> dict[int, float]:
         """Spectral norms by block id: one ``spectral_norms`` pass over the
-        blocks as G stores them, at the first call (the blocks must be
-        final by then); the transpose shares the dict."""
-        norms = self._shared["norms"]
-        if not norms and self.blocks:
-            stored = [m.T if self.flipped else m for m in self.blocks.values()]
-            norms.update(zip(self.blocks, spectral_norms(stored)))
-        return norms
+        stored groups, at the first call (the blocks must be final by
+        then); the transpose reads G's."""
+        p = self._stored or self
+        if p._norms is None:
+            ids = [b for g in p.groups for b in g.ids.tolist()]
+            p._norms = dict(zip(ids, spectral_norms(
+                [m for g in p.groups for m in g.stack])))
+        return p._norms
+
+    def placements(self):
+        """``_placements`` of the stored groups in the flat vectors of G's
+        matvec, built on the first call (the first matvec); the
+        transpose reads G's."""
+        p = self._stored or self
+        if p._placed is None:
+            bt, row_start, col_start = p.layout
+            p._placed = _placements(p.groups,
+                                    np.asarray(row_start, np.intp)[bt.row],
+                                    np.asarray(col_start, np.intp)[bt.col])
+        return p._placed
 
     @classmethod
     def zeros(cls, shapes, block_tree: BlockTree, row_start,
@@ -309,15 +320,9 @@ class PackedBlocks:
         """Zero blocks of the given shapes (block id -> (rows, columns)),
         one array per shape, for a builder to write into."""
         ids = np.array(sorted(shapes), np.intp)
-        dims = np.array([shapes[b] for b in ids.tolist()],
-                        np.intp).reshape(-1, 2)
-        return cls._zeros(ids, dims[:, 0], dims[:, 1],
-                          (block_tree, row_start, col_start))
-
-    @classmethod
-    def _zeros(cls, ids, rows, cols, layout) -> "PackedBlocks":
-        groups, views = _zero_groups(ids, rows, cols)
-        return cls(MappingProxyType(views), groups, layout, False)
+        dims = np.array([shapes[b] for b in ids.tolist()], np.intp)
+        return cls(*_grouped(ids, dims.reshape(-1, 2).T),
+                   (block_tree, row_start, col_start))
 
     @classmethod
     def pack(cls, blocks, block_tree: BlockTree, row_start,
@@ -333,11 +338,8 @@ class PackedBlocks:
                 raise InvalidInputError(
                     f"block {b} has shape {m.shape}, unlike the other blocks "
                     "of its block row or column")
-        out = cls.zeros({b: m.shape for b, m in blocks.items()}, block_tree,
-                        row_start, col_start)
-        for b, m in blocks.items():
-            out.blocks[b][...] = m
-        return out
+        return cls(*_copied({b: blocks[b] for b in sorted(blocks)}),
+                   (block_tree, row_start, col_start))
 
     @classmethod
     def zero_couplings(cls, block_tree: BlockTree, row_basis: ClusterBasis,
@@ -346,9 +348,9 @@ class PackedBlocks:
         ``H2Matrix(block_tree, row_basis, col_basis, ...)``."""
         bt = block_tree
         ids = np.flatnonzero(bt.admissible_leaf_flags)
-        return cls._zeros(
-            ids, np.asarray(row_basis.rank, np.intp)[bt.row[ids]],
-            np.asarray(col_basis.rank, np.intp)[bt.col[ids]],
+        return cls(*_grouped(
+            ids, (np.asarray(row_basis.rank, np.intp)[bt.row[ids]],
+                  np.asarray(col_basis.rank, np.intp)[bt.col[ids]])),
             _coupling_layout(bt, row_basis, col_basis))
 
     @classmethod
@@ -356,9 +358,9 @@ class PackedBlocks:
         """Zero nearfield blocks of every inadmissible leaf."""
         bt = block_tree
         ids = np.flatnonzero(bt.inadmissible_leaf_flags)
-        return cls._zeros(
-            ids, (bt.rows.stop - bt.rows.start)[bt.row[ids]],
-            (bt.cols.stop - bt.cols.start)[bt.col[ids]],
+        return cls(*_grouped(
+            ids, ((bt.rows.stop - bt.rows.start)[bt.row[ids]],
+                  (bt.cols.stop - bt.cols.start)[bt.col[ids]])),
             _nearfield_layout(bt))
 
     def add(self, ids: np.ndarray, parts: np.ndarray):
@@ -377,45 +379,22 @@ class PackedBlocks:
         return PackedBlocks(
             MappingProxyType({b: m.T for b, m in self.blocks.items()}),
             self.groups, (block_tree, col_start, row_start), not self.flipped,
-            self._shared)
-
-    def _flat_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """The row and the column of every stored entry in G's flat
-        vectors, group by group.  The first call builds them and gives
-        ``groups`` their index views, in place: the transpose shares both."""
-        if "rows" not in self._shared:
-            bt, row_start, col_start = self.layout
-            rows, cols = bt.row, bt.col
-            if self.flipped:  # the stored rows are this matrix's columns
-                rows, cols = cols, rows
-                row_start, col_start = col_start, row_start
-            row_start = np.asarray(row_start, np.intp)
-            col_start = np.asarray(col_start, np.intp)
-            flat_rows, row_at = _flat_spans(
-                [row_start[rows[g.ids]] for g in self.groups],
-                [g.stack.shape[1] for g in self.groups])
-            flat_cols, col_at = _flat_spans(
-                [col_start[cols[g.ids]] for g in self.groups],
-                [g.stack.shape[2] for g in self.groups])
-            self.groups[:] = [g._replace(row_at=r, col_at=c) for g, r, c
-                              in zip(self.groups, row_at, col_at)]
-            self._shared.update(rows=flat_rows, cols=flat_cols)
-        return self._shared["rows"], self._shared["cols"]
+            self._stored or self)
 
     def apply(self, v: np.ndarray, n: int) -> np.ndarray:
         """The blocks applied to the flat vector v, as a new length-n
         vector: one gather and one batched product per shape group and
         one scatter (``np.bincount``) for all of them."""
-        rows, cols = self._flat_index()
+        rows, cols, placed = self.placements()
         index = cols if self.flipped else rows
         if not index.size:  # no blocks, or only empty ones
             return np.zeros(n)
         if self.flipped:  # v @ stored block, into the block's columns
-            values = [np.matmul(v[g.row_at][:, None, :], g.stack).ravel()
-                      for g in self.groups]
+            values = [np.matmul(v[r][:, None, :], stack).ravel()
+                      for stack, r, _ in placed]
         else:
-            values = [np.matmul(g.stack, v[g.col_at][:, :, None]).ravel()
-                      for g in self.groups]
+            values = [np.matmul(stack, v[c][:, :, None]).ravel()
+                      for stack, _, c in placed]
         return np.bincount(index, np.concatenate(values), minlength=n)
 
 
@@ -544,16 +523,16 @@ def h2_matvec(g: H2Matrix, x) -> np.ndarray:
         raise InvalidInputError(f"x has shape {x.shape}, expected ({ncols},)")
     cb, rb = g.col_basis, g.row_basis
     xhat = np.empty(cb.ncoef)
-    for src, groups in ((x, cb.leaf_groups), (xhat, cb.transfer_groups)):
-        for gr in groups:
-            xhat[gr.col_at] = np.matmul(src[gr.row_at][:, None, :],
-                                        gr.stack)[:, 0]
+    n, placed = len(cb.leaf_groups), cb.placements()[2]
+    for src, part in ((x, placed[:n]), (xhat, placed[n:])):
+        for stack, rows, cols in part:
+            xhat[cols] = np.matmul(src[rows][:, None, :], stack)[:, 0]
     yhat = g.packed_coupling.apply(xhat, rb.ncoef)
     y = g.packed_nearfield.apply(x, nrows)
-    for dst, groups in ((yhat, rb.transfer_groups[::-1]), (y, rb.leaf_groups)):
-        for gr in groups:
-            dst[gr.row_at] += np.matmul(gr.stack,
-                                        yhat[gr.col_at][:, :, None])[..., 0]
+    n, placed = len(rb.leaf_groups), rb.placements()[2]
+    for dst, part in ((yhat, placed[n:][::-1]), (y, placed[:n])):
+        for stack, rows, cols in part:
+            dst[rows] += np.matmul(stack, yhat[cols][:, :, None])[..., 0]
     return y
 
 

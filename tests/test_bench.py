@@ -163,8 +163,9 @@ class TestRunExperiment:
         RunConfig(seed=0).validate()
 
     def test_nan_eps_rejected(self):
-        with pytest.raises(InvalidInputError):
-            RunConfig(eps=math.nan).validate()
+        for eps in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError):
+                RunConfig(eps=eps).validate()
 
     def test_dlp_cube_small(self):
         cfg = RunConfig(problem="dlp-cube", n=768, eps=1e-4, eta=2.0,

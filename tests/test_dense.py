@@ -150,8 +150,9 @@ class TestTruncatedSVD:
             truncated_svd(np.eye(2), -1.0)
 
     def test_nan_tolerance_rejected(self):
-        with pytest.raises(InvalidInputError):
-            truncated_svd(np.eye(2), np.nan)
+        for tol in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                truncated_svd(np.eye(2), tol)
 
     def test_max_rank_cap(self):
         rng = np.random.default_rng(5)
@@ -289,7 +290,7 @@ class TestListForms:
         with pytest.raises(InvalidInputError):
             kernel(mats)
 
-    @pytest.mark.parametrize("tol", [-1e-3, np.nan])
+    @pytest.mark.parametrize("tol", [-1e-3, np.nan, np.inf])
     def test_bad_tolerance_rejected(self, tol):
         with pytest.raises(InvalidInputError):
             truncated_svds(mixed_matrices(), tol)

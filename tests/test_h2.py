@@ -216,7 +216,7 @@ class TestPackedMatvec:
     def test_one_product_per_shape_group(self, case, monkeypatch):
         g = degenerate_instance(case)
         v = np.random.default_rng(44).standard_normal(g.shape[1])
-        h2_matvec(g, v)  # the first call builds the block indices
+        h2_matvec(g, v)  # the first call places the bases and the blocks
         calls = []
         matmul = np.matmul
         monkeypatch.setattr(np, "matmul",
@@ -233,6 +233,34 @@ class TestPackedMatvec:
         h2_matvec_adjoint(g, np.random.default_rng(45).standard_normal(
             g.shape[0]))
         assert len(calls) == groups
+
+    @pytest.mark.parametrize("case", DEGENERATE)
+    def test_placed_on_first_matvec(self, case):
+        g = degenerate_instance(case)
+        holders = (g.row_basis, g.col_basis, g.packed_coupling,
+                   g.packed_nearfield)
+        assert all(h._placed is None for h in holders)
+        h2_matvec(g, np.random.default_rng(47).standard_normal(g.shape[1]))
+        gt = g.transposed()
+        for h, h_t in zip(holders, (gt.col_basis, gt.row_basis,
+                                    gt.packed_coupling, gt.packed_nearfield)):
+            rows, cols, placed = h.placements()
+            assert h_t.placements() is h.placements()
+            for flat, index in ((rows, 1), (cols, 2)):
+                at = [p[index] for p in placed]
+                assert all(a.base is flat for a in at)
+                assert np.array_equal(
+                    np.concatenate([a.ravel() for a in at] + [flat[:0]]),
+                    flat)
+
+    def test_products_are_not_placed(self):
+        rng = np.random.default_rng(48)
+        x, y = random_h2_pair(rng, n=40)
+        prod = multiply(x, y, 1e-3)
+        for g in (x, y, prod):
+            assert all(h._placed is None for h in (
+                g.row_basis, g.col_basis, g.packed_coupling,
+                g.packed_nearfield))
 
     @pytest.mark.parametrize("case", DEGENERATE)
     def test_double_transpose(self, case):

@@ -435,8 +435,9 @@ class TestAssembleProduct:
     def test_nan_tolerance_rejected(self):
         rng = np.random.default_rng(76)
         x, y = random_h2_pair(rng, n=24, leaf_size=4)
-        with pytest.raises(InvalidInputError):
-            multiply(x, y, np.nan)
+        for tol in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                multiply(x, y, tol)
 
     @pytest.mark.parametrize("side", ["row", "col"])
     def test_builder_rejects_negative_max_rank(self, side):

@@ -1,5 +1,6 @@
 """Every module's declared public names exist and star-import cleanly."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -9,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import h2mul
+from h2mul import dense
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(h2mul.__path__))
+# the kernels on one matrix: those with a list form beside them
+SINGLE_KERNELS = {n for n in dense.__all__ if n + "s" in dense.__all__}
 
 
 def test_every_module_is_listed():
@@ -48,3 +52,17 @@ def test_traced_functions_exist(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
     tracer.Tracer(h2mul)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "dense"])
+def test_no_single_matrix_kernel(name):
+    # the tree algorithms batch their dense work through the list forms;
+    # only the package's re-export names the single-matrix kernels
+    source = Path(importlib.import_module(f"h2mul.{name}").__file__)
+    used = set()
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            used |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    assert SINGLE_KERNELS and not used & SINGLE_KERNELS
